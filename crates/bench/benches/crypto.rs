@@ -22,6 +22,7 @@ fn bench_hash(c: &mut Criterion) {
     let mut g = c.benchmark_group("hmac_sha256");
     g.throughput(Throughput::Bytes(PAGE as u64));
     g.bench_function("page_4k", |b| b.iter(|| hmac_sha256(b"key", std::hint::black_box(&page))));
+    g.throughput(Throughput::Bytes(64));
     g.bench_function("merkle_node_64b", |b| {
         let node = [0u8; 64];
         b.iter(|| hmac_sha256(b"key", std::hint::black_box(&node)))

@@ -3,7 +3,10 @@
 //! Straightforward byte-oriented implementation (S-box lookups, `xtime`
 //! MixColumns). IronSafe encrypts 4 KiB database pages in CBC mode and
 //! network records in CTR mode on top of this block primitive — see
-//! [`crate::modes`].
+//! [`crate::modes`]. On x86-64 CPUs with AES-NI the mode kernels run in
+//! hardware instead (`aesni`), keyed by this module's key schedule; the
+//! table code here stays the portable fallback and the reference the
+//! hardware path is tested against.
 
 /// AES block size in bytes.
 pub const BLOCK: usize = 16;
@@ -96,6 +99,13 @@ impl Aes128 {
             }
         }
         Aes128 { round_keys }
+    }
+
+    /// The expanded key schedule (FIPS 197 `w`, one 16-byte round key per
+    /// round), shared with the hardware backend.
+    #[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+    pub(crate) fn round_keys(&self) -> &[[u8; 16]; ROUNDS + 1] {
+        &self.round_keys
     }
 
     /// Encrypt one 16-byte block in place.

@@ -8,11 +8,14 @@ use crate::ct::ct_eq;
 use crate::sha256::{Sha256, BLOCK_LEN, DIGEST_LEN};
 
 /// Streaming HMAC-SHA256.
+///
+/// Both pads are absorbed at construction, so a long-lived key is
+/// expanded once: keep a keyed instance and `clone` it per message.
 #[derive(Clone)]
 pub struct HmacSha256 {
     inner: Sha256,
-    /// Key XORed with the opad, kept to finish the outer hash.
-    opad_key: [u8; BLOCK_LEN],
+    /// Outer hash with the key XORed with the opad already absorbed.
+    outer: Sha256,
 }
 
 impl HmacSha256 {
@@ -33,7 +36,9 @@ impl HmacSha256 {
         }
         let mut inner = Sha256::new();
         inner.update(&ipad);
-        HmacSha256 { inner, opad_key: opad }
+        let mut outer = Sha256::new();
+        outer.update(&opad);
+        HmacSha256 { inner, outer }
     }
 
     /// Absorb message bytes.
@@ -44,10 +49,19 @@ impl HmacSha256 {
     /// Produce the 32-byte tag.
     pub fn finalize(self) -> [u8; DIGEST_LEN] {
         let inner_digest = self.inner.finalize();
-        let mut outer = Sha256::new();
-        outer.update(&self.opad_key);
+        let mut outer = self.outer;
         outer.update(&inner_digest);
         outer.finalize()
+    }
+
+    /// Tag of the concatenation of `parts` under this instance's key,
+    /// leaving `self` untouched for the next message.
+    pub fn mac_parts(&self, parts: &[&[u8]]) -> [u8; DIGEST_LEN] {
+        let mut h = self.clone();
+        for p in parts {
+            h.update(p);
+        }
+        h.finalize()
     }
 
     /// Verify `tag` against the absorbed message in constant time.
@@ -66,11 +80,7 @@ pub fn hmac_sha256(key: &[u8], data: &[u8]) -> [u8; DIGEST_LEN] {
 
 /// One-shot HMAC over the concatenation of `parts`.
 pub fn hmac_sha256_concat(key: &[u8], parts: &[&[u8]]) -> [u8; DIGEST_LEN] {
-    let mut h = HmacSha256::new(key);
-    for p in parts {
-        h.update(p);
-    }
-    h.finalize()
+    HmacSha256::new(key).mac_parts(parts)
 }
 
 #[cfg(test)]
@@ -129,6 +139,14 @@ mod tests {
     #[test]
     fn different_keys_differ() {
         assert_ne!(hmac_sha256(b"k1", b"m"), hmac_sha256(b"k2", b"m"));
+    }
+
+    #[test]
+    fn keyed_instance_is_reusable() {
+        let keyed = HmacSha256::new(b"key");
+        assert_eq!(keyed.mac_parts(&[b"ab", b"cd"]), hmac_sha256(b"key", b"abcd"));
+        assert_eq!(keyed.mac_parts(&[b"xyz"]), hmac_sha256(b"key", b"xyz"));
+        assert_eq!(keyed.mac_parts(&[b"ab", b"cd"]), hmac_sha256(b"key", b"abcd"));
     }
 
     #[test]

@@ -8,10 +8,14 @@ use crate::ct::ct_eq;
 use crate::sha512::{Sha512, BLOCK_LEN, DIGEST_LEN};
 
 /// Streaming HMAC-SHA512.
+///
+/// Both pads are absorbed at construction, so a long-lived key is
+/// expanded once: keep a keyed instance and `clone` it per message.
 #[derive(Clone)]
 pub struct HmacSha512 {
     inner: Sha512,
-    opad_key: [u8; BLOCK_LEN],
+    /// Outer hash with the key XORed with the opad already absorbed.
+    outer: Sha512,
 }
 
 impl HmacSha512 {
@@ -32,7 +36,9 @@ impl HmacSha512 {
         }
         let mut inner = Sha512::new();
         inner.update(&ipad);
-        HmacSha512 { inner, opad_key: opad }
+        let mut outer = Sha512::new();
+        outer.update(&opad);
+        HmacSha512 { inner, outer }
     }
 
     /// Absorb message bytes.
@@ -43,10 +49,23 @@ impl HmacSha512 {
     /// Produce the 64-byte tag.
     pub fn finalize(self) -> [u8; DIGEST_LEN] {
         let inner_digest = self.inner.finalize();
-        let mut outer = Sha512::new();
-        outer.update(&self.opad_key);
+        let mut outer = self.outer;
         outer.update(&inner_digest);
         outer.finalize()
+    }
+
+    /// Tag of the concatenation of `parts` under this instance's key,
+    /// truncated to 32 bytes (the page codec's trailer format), leaving
+    /// `self` untouched for the next message.
+    pub fn mac_parts_trunc256(&self, parts: &[&[u8]]) -> [u8; 32] {
+        let mut h = self.clone();
+        for p in parts {
+            h.update(p);
+        }
+        let full = h.finalize();
+        let mut out = [0u8; 32];
+        out.copy_from_slice(&full[..32]);
+        out
     }
 
     /// Verify `tag` (full or truncated ≥ 16 bytes) in constant time.
@@ -69,14 +88,7 @@ pub fn hmac_sha512(key: &[u8], data: &[u8]) -> [u8; DIGEST_LEN] {
 /// One-shot HMAC-SHA512 over concatenated parts, truncated to 32 bytes —
 /// the page codec's trailer format.
 pub fn hmac_sha512_trunc256(key: &[u8], parts: &[&[u8]]) -> [u8; 32] {
-    let mut h = HmacSha512::new(key);
-    for p in parts {
-        h.update(p);
-    }
-    let full = h.finalize();
-    let mut out = [0u8; 32];
-    out.copy_from_slice(&full[..32]);
-    out
+    HmacSha512::new(key).mac_parts_trunc256(parts)
 }
 
 #[cfg(test)]
@@ -132,6 +144,14 @@ mod tests {
         let mut h = HmacSha512::new(b"key");
         h.update(b"pagedata");
         assert!(!h.verify(&bad));
+    }
+
+    #[test]
+    fn keyed_instance_is_reusable() {
+        let keyed = HmacSha512::new(b"key");
+        for msg in [&b"page"[..], b"other", b"page"] {
+            assert_eq!(keyed.mac_parts_trunc256(&[msg]), hmac_sha512(b"key", msg)[..32]);
+        }
     }
 
     #[test]

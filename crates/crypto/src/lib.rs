@@ -16,23 +16,44 @@
 //! * [`hkdf`] — HKDF-SHA256 (RFC 5869) used to derive per-purpose keys from
 //!   the hardware-unique key and session secrets.
 //! * [`aes`] — AES-128 block cipher with [`modes`] CTR and CBC, used for
-//!   page encryption (CBC + per-page IV, mirroring SQLCipher) and channel
-//!   encryption (CTR).
+//!   page encryption (CBC + per-page IV, mirroring SQLCipher), the WAL
+//!   (CBC), channel records and sealed blobs (CTR).
 //! * [`bignum`] / [`group`] / [`schnorr`] — a little-endian big-unsigned
 //!   integer with Montgomery multiplication, classic MODP groups, and
 //!   Schnorr signatures used for attestation quotes and certificate chains.
 //! * [`cert`] — a minimal X.509-like certificate chain model rooted in a
 //!   manufacturer key (the TrustZone ROTPK) or an attestation service key.
 //!
-//! None of this code is intended to resist side channels on real silicon —
-//! it is a faithful, correct software model for a simulated platform — but
-//! the algorithms themselves are the real ones, verified against published
+//! ## AES backends and the `unsafe` boundary
+//!
+//! The [`modes`] functions pick their AES backend once per process. On
+//! x86-64 CPUs that report AES-NI (`is_x86_feature_detected!("aes")`) the
+//! CBC and CTR kernels run on the AES instructions, four blocks at a time
+//! for CBC decryption and CTR; everywhere else they run the portable
+//! byte-oriented code in [`aes`]. Both produce byte-identical output
+//! (the tests run both backends side by side on every AES-NI host), so
+//! nothing stored on a medium depends on which one ran.
+//!
+//! The crate denies `unsafe_code`; the private `aesni` module is the one
+//! exception in the workspace. Its only `unsafe` is the three calls from
+//! ordinary code into its `#[target_feature(enable = "aes")]` kernels,
+//! guarded by a token that only the CPU probe hands out. A workspace test
+//! fails if `unsafe` appears anywhere else.
+//!
+//! The portable fallback still indexes S-box tables with secret bytes, so
+//! it is open to cache-timing attacks; the AES-NI path has no
+//! secret-dependent memory access. The hash, HMAC and bignum code is a
+//! faithful model for a simulated platform, not hardened against side
+//! channels; the algorithms are the real ones, verified against published
 //! test vectors in the unit tests.
 
-#![forbid(unsafe_code)]
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod aes;
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+mod aesni;
 pub mod bignum;
 pub mod cert;
 pub mod ct;

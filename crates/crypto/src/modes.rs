@@ -5,8 +5,14 @@
 //!   IV and an HMAC over `IV || ciphertext`.
 //! * **CTR** is used for network records where random access and exact-size
 //!   ciphertexts matter.
+//!
+//! Every kernel runs on AES-NI when the CPU has it and on the portable
+//! portable table code otherwise, with byte-identical output (see the
+//! crate docs).
 
 use crate::aes::{Aes128, BLOCK};
+#[cfg(target_arch = "x86_64")]
+use crate::aesni::AesNi;
 use crate::{CryptoError, Result};
 
 /// Encrypt or decrypt `data` in place with AES-128-CTR.
@@ -14,24 +20,11 @@ use crate::{CryptoError, Result};
 /// The 16-byte `nonce` is used as the initial counter block; the low 32 bits
 /// are incremented per block (big-endian), as in NIST SP 800-38A.
 pub fn ctr_xor(aes: &Aes128, nonce: &[u8; BLOCK], data: &mut [u8]) {
-    let mut counter = *nonce;
-    for chunk in data.chunks_mut(BLOCK) {
-        let mut keystream = counter;
-        aes.encrypt_block(&mut keystream);
-        for (b, k) in chunk.iter_mut().zip(keystream.iter()) {
-            *b ^= k;
-        }
-        increment_counter(&mut counter);
+    #[cfg(target_arch = "x86_64")]
+    if let Some(ni) = AesNi::detect() {
+        return ni.ctr_xor(aes, nonce, data);
     }
-}
-
-fn increment_counter(counter: &mut [u8; BLOCK]) {
-    for i in (12..BLOCK).rev() {
-        counter[i] = counter[i].wrapping_add(1);
-        if counter[i] != 0 {
-            return;
-        }
-    }
+    portable::ctr_xor(aes, nonce, data)
 }
 
 /// Encrypt `plain` with AES-128-CBC and PKCS#7 padding.
@@ -43,34 +36,22 @@ pub fn cbc_encrypt(aes: &Aes128, iv: &[u8; BLOCK], plain: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(plain.len() + pad);
     out.extend_from_slice(plain);
     out.resize(plain.len() + pad, pad as u8);
-    let mut prev = *iv;
-    for chunk in out.chunks_mut(BLOCK) {
-        let block: &mut [u8; BLOCK] = chunk.try_into().expect("aligned");
-        for (b, p) in block.iter_mut().zip(prev.iter()) {
-            *b ^= p;
-        }
-        aes.encrypt_block(block);
-        prev = *block;
-    }
+    cbc_encrypt_aligned(aes, iv, &mut out);
     out
 }
 
 /// Decrypt AES-128-CBC ciphertext and strip PKCS#7 padding.
 pub fn cbc_decrypt(aes: &Aes128, iv: &[u8; BLOCK], cipher: &[u8]) -> Result<Vec<u8>> {
-    if cipher.is_empty() || !cipher.len().is_multiple_of(BLOCK) {
+    if cipher.is_empty() {
         return Err(CryptoError::MalformedCiphertext("CBC length not block-aligned"));
     }
     let mut out = cipher.to_vec();
-    let mut prev = *iv;
-    for chunk in out.chunks_mut(BLOCK) {
-        let block: &mut [u8; BLOCK] = chunk.try_into().expect("aligned");
-        let saved = *block;
-        aes.decrypt_block(block);
-        for (b, p) in block.iter_mut().zip(prev.iter()) {
-            *b ^= p;
-        }
-        prev = saved;
-    }
+    cbc_decrypt_aligned(aes, iv, &mut out)?;
+    strip_pkcs7(out)
+}
+
+/// Remove and check the PKCS#7 padding of a non-empty decrypted buffer.
+pub(crate) fn strip_pkcs7(mut out: Vec<u8>) -> Result<Vec<u8>> {
     let pad = *out.last().expect("non-empty") as usize;
     if pad == 0 || pad > BLOCK || pad > out.len() {
         return Err(CryptoError::MalformedCiphertext("bad PKCS#7 padding length"));
@@ -89,15 +70,11 @@ pub fn cbc_decrypt(aes: &Aes128, iv: &[u8; BLOCK], cipher: &[u8]) -> Result<Vec<
 /// as plaintext. Panics if `data` is not block-aligned.
 pub fn cbc_encrypt_aligned(aes: &Aes128, iv: &[u8; BLOCK], data: &mut [u8]) {
     assert_eq!(data.len() % BLOCK, 0, "aligned CBC requires block-multiple input");
-    let mut prev = *iv;
-    for chunk in data.chunks_mut(BLOCK) {
-        let block: &mut [u8; BLOCK] = chunk.try_into().expect("aligned");
-        for (b, p) in block.iter_mut().zip(prev.iter()) {
-            *b ^= p;
-        }
-        aes.encrypt_block(block);
-        prev = *block;
+    #[cfg(target_arch = "x86_64")]
+    if let Some(ni) = AesNi::detect() {
+        return ni.cbc_encrypt(aes, iv, data);
     }
+    portable::cbc_encrypt_aligned(aes, iv, data)
 }
 
 /// Inverse of [`cbc_encrypt_aligned`].
@@ -105,17 +82,66 @@ pub fn cbc_decrypt_aligned(aes: &Aes128, iv: &[u8; BLOCK], data: &mut [u8]) -> R
     if !data.len().is_multiple_of(BLOCK) {
         return Err(CryptoError::MalformedCiphertext("CBC length not block-aligned"));
     }
-    let mut prev = *iv;
-    for chunk in data.chunks_mut(BLOCK) {
-        let block: &mut [u8; BLOCK] = chunk.try_into().expect("aligned");
-        let saved = *block;
-        aes.decrypt_block(block);
-        for (b, p) in block.iter_mut().zip(prev.iter()) {
-            *b ^= p;
-        }
-        prev = saved;
+    #[cfg(target_arch = "x86_64")]
+    if let Some(ni) = AesNi::detect() {
+        ni.cbc_decrypt(aes, iv, data);
+        return Ok(());
     }
+    portable::cbc_decrypt_aligned(aes, iv, data);
     Ok(())
+}
+
+/// The table-based kernels: the fallback on CPUs without AES-NI and the
+/// differential reference for the hardware backend. Callers guarantee
+/// block-aligned input for CBC.
+pub(crate) mod portable {
+    use crate::aes::{Aes128, BLOCK};
+
+    pub(crate) fn ctr_xor(aes: &Aes128, nonce: &[u8; BLOCK], data: &mut [u8]) {
+        let mut counter = *nonce;
+        for chunk in data.chunks_mut(BLOCK) {
+            let mut keystream = counter;
+            aes.encrypt_block(&mut keystream);
+            for (b, k) in chunk.iter_mut().zip(keystream.iter()) {
+                *b ^= k;
+            }
+            increment_counter(&mut counter);
+        }
+    }
+
+    pub(super) fn increment_counter(counter: &mut [u8; BLOCK]) {
+        for i in (12..BLOCK).rev() {
+            counter[i] = counter[i].wrapping_add(1);
+            if counter[i] != 0 {
+                return;
+            }
+        }
+    }
+
+    pub(crate) fn cbc_encrypt_aligned(aes: &Aes128, iv: &[u8; BLOCK], data: &mut [u8]) {
+        let mut prev = *iv;
+        for chunk in data.chunks_exact_mut(BLOCK) {
+            let block: &mut [u8; BLOCK] = chunk.try_into().expect("aligned");
+            for (b, p) in block.iter_mut().zip(prev.iter()) {
+                *b ^= p;
+            }
+            aes.encrypt_block(block);
+            prev = *block;
+        }
+    }
+
+    pub(crate) fn cbc_decrypt_aligned(aes: &Aes128, iv: &[u8; BLOCK], data: &mut [u8]) {
+        let mut prev = *iv;
+        for chunk in data.chunks_exact_mut(BLOCK) {
+            let block: &mut [u8; BLOCK] = chunk.try_into().expect("aligned");
+            let saved = *block;
+            aes.decrypt_block(block);
+            for (b, p) in block.iter_mut().zip(prev.iter()) {
+                *b ^= p;
+            }
+            prev = saved;
+        }
+    }
 }
 
 #[cfg(test)]
@@ -139,32 +165,84 @@ mod tests {
         assert_eq!(data, plain);
     }
 
+    fn unhex(s: &str) -> Vec<u8> {
+        (0..s.len()).step_by(2).map(|i| u8::from_str_radix(&s[i..i + 2], 16).unwrap()).collect()
+    }
+
+    /// NIST SP 800-38A key, plaintext and the F.2.1 / F.5.1 ciphertexts.
+    const SP800_38A_KEY: &str = "2b7e151628aed2a6abf7158809cf4f3c";
+    const SP800_38A_PLAIN: &str = "6bc1bee22e409f96e93d7e117393172a\
+                                   ae2d8a571e03ac9c9eb76fac45af8e51\
+                                   30c81c46a35ce411e5fbc1191a0a52ef\
+                                   f69f2445df4f9b17ad2b417be66c3710";
+    const CBC_IV: &str = "000102030405060708090a0b0c0d0e0f";
+    const CBC_CIPHER: &str = "7649abac8119b246cee98e9b12e9197d\
+                              5086cb9b507219ee95db113a917678b2\
+                              73bed6b8e3c1743b7116e69e22229516\
+                              3ff1caa1681fac09120eca307586e1a7";
+    const CTR_COUNTER: &str = "f0f1f2f3f4f5f6f7f8f9fafbfcfdfeff";
+    const CTR_CIPHER: &str = "874d6191b620e3261bef6864990db6ce\
+                              9806f66b7970fdff8617187bb9fffdff\
+                              5ae4df3edbd5d35e5b4f09020db03eab\
+                              1e031dda2fbe03d1792170a0f3009cee";
+
+    fn sp800_38a() -> (Aes128, Vec<u8>) {
+        let key: [u8; 16] = unhex(SP800_38A_KEY).try_into().unwrap();
+        (Aes128::new(&key), unhex(SP800_38A_PLAIN))
+    }
+
+    #[test]
+    fn cbc_nist_sp800_38a_f21_f22() {
+        // F.2.1 CBC-AES128.Encrypt and F.2.2 CBC-AES128.Decrypt, all four
+        // blocks, through the public API (the hardware backend on AES-NI
+        // hosts) and through the portable kernels.
+        let (aes, plain) = sp800_38a();
+        let iv: [u8; 16] = unhex(CBC_IV).try_into().unwrap();
+        let cipher = unhex(CBC_CIPHER);
+        let mut data = plain.clone();
+        cbc_encrypt_aligned(&aes, &iv, &mut data);
+        assert_eq!(data, cipher, "F.2.1");
+        cbc_decrypt_aligned(&aes, &iv, &mut data).unwrap();
+        assert_eq!(data, plain, "F.2.2");
+
+        let mut data = plain.clone();
+        portable::cbc_encrypt_aligned(&aes, &iv, &mut data);
+        assert_eq!(data, cipher, "F.2.1 portable");
+        portable::cbc_decrypt_aligned(&aes, &iv, &mut data);
+        assert_eq!(data, plain, "F.2.2 portable");
+
+        // The padded API appends one full padding block to the same chain.
+        let padded = cbc_encrypt(&aes, &iv, &plain);
+        assert_eq!(&padded[..64], &cipher[..]);
+        assert_eq!(cbc_decrypt(&aes, &iv, &padded).unwrap(), plain);
+    }
+
     #[test]
     fn ctr_nist_sp800_38a_f51() {
-        // NIST SP 800-38A F.5.1 CTR-AES128.Encrypt, first block.
-        let key = [
-            0x2b, 0x7e, 0x15, 0x16, 0x28, 0xae, 0xd2, 0xa6, 0xab, 0xf7, 0x15, 0x88, 0x09, 0xcf,
-            0x4f, 0x3c,
-        ];
-        let ctr = [
-            0xf0, 0xf1, 0xf2, 0xf3, 0xf4, 0xf5, 0xf6, 0xf7, 0xf8, 0xf9, 0xfa, 0xfb, 0xfc, 0xfd,
-            0xfe, 0xff,
-        ];
-        let mut data = [
-            0x6b, 0xc1, 0xbe, 0xe2, 0x2e, 0x40, 0x9f, 0x96, 0xe9, 0x3d, 0x7e, 0x11, 0x73, 0x93,
-            0x17, 0x2a,
-        ];
-        ctr_xor(&Aes128::new(&key), &ctr, &mut data);
-        assert_eq!(
-            data,
-            [0x87, 0x4d, 0x61, 0x91, 0xb6, 0x20, 0xe3, 0x26, 0x1b, 0xef, 0x68, 0x64, 0x99, 0x0d, 0xb6, 0xce]
-        );
+        // F.5.1 CTR-AES128.Encrypt and F.5.2 CTR-AES128.Decrypt, all four
+        // blocks, public API and portable kernel.
+        let (aes, plain) = sp800_38a();
+        let ctr: [u8; 16] = unhex(CTR_COUNTER).try_into().unwrap();
+        let cipher = unhex(CTR_CIPHER);
+        let mut data = plain.clone();
+        ctr_xor(&aes, &ctr, &mut data);
+        assert_eq!(data, cipher, "F.5.1");
+        ctr_xor(&aes, &ctr, &mut data);
+        assert_eq!(data, plain, "F.5.2");
+
+        let mut data = cipher.clone();
+        portable::ctr_xor(&aes, &ctr, &mut data);
+        assert_eq!(data, plain, "F.5.2 portable");
+        // A partial final block uses a prefix of the keystream.
+        let mut short = plain[..37].to_vec();
+        ctr_xor(&aes, &ctr, &mut short);
+        assert_eq!(short, cipher[..37]);
     }
 
     #[test]
     fn ctr_counter_wraps_within_low_word() {
         let mut c = [0xffu8; 16];
-        increment_counter(&mut c);
+        portable::increment_counter(&mut c);
         // Low 32 bits wrap to zero; upper bytes untouched.
         assert_eq!(&c[..12], &[0xff; 12]);
         assert_eq!(&c[12..], &[0, 0, 0, 0]);

@@ -242,60 +242,152 @@ impl HeapFile {
         Ok(out)
     }
 
-    /// Replace the heap's contents with `rows`, reusing existing pages.
-    pub fn rewrite(&mut self, pager: &SharedPager, rows: Vec<Row>) -> Result<()> {
-        // Clear bookkeeping but keep the allocated pages for reuse.
-        let old_pages = std::mem::take(&mut self.pages);
-        self.row_count = 0;
-        // Write rows through a fresh heap that draws from `old_pages` first.
-        let payload_size = pager.lock().payload_size();
-        let mut page = vec![0u8; payload_size];
-        let mut old_iter = old_pages.into_iter();
-        let mut used = HEADER;
-        let mut nrows: u16 = 0;
-        let mut cur: Option<PageId> = None;
-        {
-            let mut pager = pager.lock();
-            for row in rows {
-                let rec = encode_row(&row);
-                if rec.len() + 4 > payload_size - HEADER {
-                    return Err(SqlError::Eval("row exceeds page payload".into()));
+    /// Page-stable in-place edit of the heap's rows (UPDATE / DELETE).
+    ///
+    /// `edit` sees each page's rows in order and may change, drop or
+    /// keep them; it returns whether it touched that page. Every page is
+    /// visited before anything is written, so an `edit` error leaves the
+    /// heap untouched. Then only the touched pages are re-encoded and
+    /// written; every other page keeps its bytes, and every row keeps
+    /// its page:
+    ///
+    /// * A page whose edited rows no longer fit keeps the longest prefix
+    ///   that does and spills the rest, in order, onto the front of the
+    ///   following page when they all fit there, else into fresh pages
+    ///   linked in right after it.
+    /// * A page left with no rows is zeroed (stale rows become
+    ///   unreachable) and dropped from the page list.
+    ///
+    /// Row order across the heap is exactly the edited rows in order.
+    pub fn edit_rows(
+        &mut self,
+        pager: &SharedPager,
+        ncols: usize,
+        mut edit: impl FnMut(&mut Vec<Row>) -> Result<bool>,
+    ) -> Result<()> {
+        let mut pager = pager.lock();
+        let payload_size = pager.payload_size();
+        let mut payload = vec![0u8; payload_size];
+        // (page index, rows before, encoded rows after) per touched page.
+        let mut touched: Vec<(usize, usize, Vec<Vec<u8>>)> = Vec::new();
+        for (i, &id) in self.pages.iter().enumerate() {
+            pager.read_page(id, &mut payload)?;
+            let mut rows = decode_page_rows(&payload, ncols)?;
+            let before = rows.len();
+            if edit(&mut rows)? {
+                let records = rows.iter().map(encode_row).collect::<Vec<_>>();
+                if let Some(rec) = records.iter().find(|r| r.len() + 4 > payload_size - HEADER) {
+                    return Err(SqlError::Eval(format!(
+                        "row of {} bytes exceeds page payload",
+                        rec.len()
+                    )));
                 }
-                if cur.is_none() || used + 4 + rec.len() > payload_size || nrows == u16::MAX {
-                    if let Some(id) = cur {
-                        page[0..4].copy_from_slice(&(used as u32).to_be_bytes());
-                        page[4..6].copy_from_slice(&nrows.to_be_bytes());
-                        pager.write_page(id, &page)?;
-                    }
-                    let id = match old_iter.next() {
-                        Some(id) => id,
-                        None => pager.allocate_page()?,
-                    };
-                    self.pages.push(id);
-                    cur = Some(id);
-                    page.iter_mut().for_each(|b| *b = 0);
-                    used = HEADER;
-                    nrows = 0;
-                }
-                page[used..used + 4].copy_from_slice(&(rec.len() as u32).to_be_bytes());
-                page[used + 4..used + 4 + rec.len()].copy_from_slice(&rec);
-                used += 4 + rec.len();
-                nrows += 1;
-                self.row_count += 1;
-            }
-            if let Some(id) = cur {
-                page[0..4].copy_from_slice(&(used as u32).to_be_bytes());
-                page[4..6].copy_from_slice(&nrows.to_be_bytes());
-                pager.write_page(id, &page)?;
-            }
-            // Zero any leftover old pages so stale rows are unreachable.
-            for id in old_iter {
-                let zeros = vec![0u8; payload_size];
-                pager.write_page(id, &zeros)?;
+                touched.push((i, before, records));
             }
         }
+
+        // The heap's bookkeeping changes only once every write succeeded.
+        let mut pages = Vec::with_capacity(self.pages.len());
+        let mut row_count = self.row_count;
+        let mut touched = touched.into_iter().peekable();
+        // Encoded rows spilled off the previous page, in order.
+        let mut spill: Vec<Vec<u8>> = Vec::new();
+        for (i, &id) in self.pages.iter().enumerate() {
+            let mut records = match touched.next_if(|(t, _, _)| *t == i) {
+                Some((_, before, records)) => {
+                    row_count = row_count - before as u64 + records.len() as u64;
+                    records
+                }
+                None if spill.is_empty() => {
+                    pages.push(id);
+                    continue;
+                }
+                None => {
+                    // An untouched page takes the spill only if all of it
+                    // fits; otherwise the spill gets pages of its own.
+                    pager.read_page(id, &mut payload)?;
+                    let mut records = Vec::new();
+                    for_each_record(&payload, |r| {
+                        records.push(r.to_vec());
+                        Ok(())
+                    })?;
+                    if !fits(spill.iter().chain(&records), payload_size) {
+                        spill_to_fresh_pages(&mut *pager, &spill, &mut payload, &mut pages)?;
+                        spill.clear();
+                        pages.push(id);
+                        continue;
+                    }
+                    records
+                }
+            };
+            if !spill.is_empty() {
+                spill.append(&mut records);
+                records = std::mem::take(&mut spill);
+            }
+            let kept = fill_page(&mut payload, &records);
+            spill = records.split_off(kept);
+            if kept == 0 {
+                // Left empty: zeroed so its stale rows are unreachable,
+                // and dropped from the heap.
+                payload.fill(0);
+            } else {
+                pages.push(id);
+            }
+            pager.write_page(id, &payload)?;
+        }
+        spill_to_fresh_pages(&mut *pager, &spill, &mut payload, &mut pages)?;
+        self.pages = pages;
+        self.row_count = row_count;
         Ok(())
     }
+}
+
+/// Write `spill` into freshly allocated pages appended to `pages`.
+fn spill_to_fresh_pages(
+    pager: &mut dyn Pager,
+    mut spill: &[Vec<u8>],
+    payload: &mut [u8],
+    pages: &mut Vec<PageId>,
+) -> Result<()> {
+    while !spill.is_empty() {
+        let kept = fill_page(payload, spill);
+        let id = pager.allocate_page()?;
+        pager.write_page(id, payload)?;
+        pages.push(id);
+        spill = &spill[kept..];
+    }
+    Ok(())
+}
+
+/// Whether `records` fit one page payload of `payload_size` bytes.
+fn fits<'a>(records: impl Iterator<Item = &'a Vec<u8>>, payload_size: usize) -> bool {
+    let (mut used, mut nrows) = (HEADER, 0usize);
+    for rec in records {
+        used += 4 + rec.len();
+        nrows += 1;
+    }
+    used <= payload_size && nrows <= u16::MAX as usize
+}
+
+/// Encode the longest prefix of `records` that fits into `payload`
+/// (zeroed first); returns how many were taken. Every record is known
+/// to fit an empty page, so a non-empty input takes at least one.
+fn fill_page(payload: &mut [u8], records: &[Vec<u8>]) -> usize {
+    payload.fill(0);
+    let mut used = HEADER;
+    let mut nrows = 0usize;
+    for rec in records {
+        if used + 4 + rec.len() > payload.len() || nrows == u16::MAX as usize {
+            break;
+        }
+        payload[used..used + 4].copy_from_slice(&(rec.len() as u32).to_be_bytes());
+        payload[used + 4..used + 4 + rec.len()].copy_from_slice(rec);
+        used += 4 + rec.len();
+        nrows += 1;
+    }
+    payload[0..4].copy_from_slice(&(used as u32).to_be_bytes());
+    payload[4..6].copy_from_slice(&(nrows as u16).to_be_bytes());
+    nrows
 }
 
 #[cfg(test)]
@@ -355,18 +447,40 @@ mod tests {
         assert!(heap.append_row(&p, huge).is_err());
     }
 
+    fn big(i: i64) -> Row {
+        vec![Value::Int(i), Value::Text("x".repeat(500))]
+    }
+
+    /// Raw payload of every page, for byte-stability checks.
+    fn page_bytes(p: &SharedPager, heap: &HeapFile) -> Vec<Vec<u8>> {
+        let mut p = p.lock();
+        heap.pages
+            .iter()
+            .map(|&id| {
+                let mut buf = vec![0u8; p.payload_size()];
+                p.read_page(id, &mut buf).unwrap();
+                buf
+            })
+            .collect()
+    }
+
     #[test]
     fn rewrite_shrinks_and_reuses_pages() {
         let p = pager();
         let mut heap = HeapFile::new();
-        let big = |i: i64| vec![Value::Int(i), Value::Text("x".repeat(500))];
         heap.append_rows(&p, (0..50).map(big)).unwrap();
         let pages_before = p.lock().num_pages();
 
-        // Delete all but 3 rows.
-        heap.rewrite(&p, (0..3).map(big).collect()).unwrap();
+        // Delete all but 3 rows: emptied pages drop out, none is allocated.
+        heap.edit_rows(&p, 2, |rows| {
+            let n = rows.len();
+            rows.retain(|r| matches!(r[0], Value::Int(i) if i < 3));
+            Ok(rows.len() != n)
+        })
+        .unwrap();
         assert_eq!(heap.row_count, 3);
-        assert_eq!(heap.all_rows(&p, 2).unwrap().len(), 3);
+        assert_eq!(heap.all_rows(&p, 2).unwrap(), (0..3).map(big).collect::<Vec<_>>());
+        assert_eq!(heap.page_count(), 1);
         assert_eq!(p.lock().num_pages(), pages_before, "no new pages allocated");
     }
 
@@ -375,10 +489,98 @@ mod tests {
         let p = pager();
         let mut heap = HeapFile::new();
         heap.append_rows(&p, (0..5).map(row)).unwrap();
-        let big = |i: i64| vec![Value::Int(i), Value::Text("x".repeat(500))];
-        heap.rewrite(&p, (0..100).map(big).collect()).unwrap();
-        assert_eq!(heap.all_rows(&p, 2).unwrap().len(), 100);
+        assert_eq!(heap.page_count(), 1);
+        heap.edit_rows(&p, 3, |rows| {
+            for r in rows.iter_mut() {
+                r[1] = Value::Text("x".repeat(1500));
+            }
+            Ok(true)
+        })
+        .unwrap();
+        let rows = heap.all_rows(&p, 3).unwrap();
+        assert_eq!(rows.len(), 5);
+        assert!(rows.iter().enumerate().all(|(i, r)| r[0] == Value::Int(i as i64)), "order kept");
         assert!(heap.page_count() > 1);
+        assert_eq!(heap.row_count, 5);
+    }
+
+    #[test]
+    fn untouched_pages_keep_their_bytes() {
+        let p = pager();
+        let mut heap = HeapFile::new();
+        heap.append_rows(&p, (0..50).map(big)).unwrap();
+        let before = page_bytes(&p, &heap);
+        let writes = p.lock().stats().page_writes;
+        heap.edit_rows(&p, 2, |rows| {
+            let hit = rows.iter_mut().find(|r| r[0] == Value::Int(20));
+            Ok(hit.map(|r| r[1] = Value::Text("y".repeat(500))).is_some())
+        })
+        .unwrap();
+        assert_eq!(p.lock().stats().page_writes - writes, 1, "one page re-encoded");
+        let after = page_bytes(&p, &heap);
+        let changed: Vec<usize> = (0..before.len()).filter(|&i| before[i] != after[i]).collect();
+        assert_eq!(changed.len(), 1);
+        assert_eq!(heap.all_rows(&p, 2).unwrap()[20][1], Value::Text("y".repeat(500)));
+    }
+
+    #[test]
+    fn grown_row_spills_in_order() {
+        let p = pager();
+        let mut heap = HeapFile::new();
+        heap.append_rows(&p, (0..50).map(big)).unwrap();
+        let n_pages = heap.page_count();
+        let mut model = heap.all_rows(&p, 2).unwrap();
+        // Grow row 1 on the (full) first page: its tail spills into a
+        // fresh page linked in right after it, because page 2 is full too.
+        let grow = |rows: &mut Vec<Row>| {
+            let hit = rows.iter_mut().find(|r| r[0] == Value::Int(1));
+            Ok(hit.map(|r| r[1] = Value::Text("z".repeat(2000))).is_some())
+        };
+        heap.edit_rows(&p, 2, grow).unwrap();
+        grow(&mut model).unwrap();
+        assert_eq!(heap.all_rows(&p, 2).unwrap(), model, "row order kept");
+        assert_eq!(heap.page_count(), n_pages + 1);
+
+        // Make room on the page after the first one; the next spill off
+        // the first page lands there instead of on a fresh page.
+        let second_first_row = heap.read_page_rows(&p, 1, 2).unwrap()[0][0].clone();
+        let free = |rows: &mut Vec<Row>| {
+            let n = rows.len();
+            rows.retain(|r| r[0] != second_first_row);
+            Ok(rows.len() != n)
+        };
+        heap.edit_rows(&p, 2, free).unwrap();
+        free(&mut model).unwrap();
+        let pages = heap.page_count();
+        let grow0 = |rows: &mut Vec<Row>| {
+            let hit = rows.iter_mut().find(|r| r[0] == Value::Int(0));
+            Ok(hit.map(|r| r[1] = Value::Text("w".repeat(1200))).is_some())
+        };
+        heap.edit_rows(&p, 2, grow0).unwrap();
+        grow0(&mut model).unwrap();
+        assert_eq!(heap.all_rows(&p, 2).unwrap(), model);
+        assert_eq!(heap.page_count(), pages, "spill absorbed by the following page");
+        assert_eq!(heap.row_count, model.len() as u64);
+    }
+
+    #[test]
+    fn failed_edit_writes_nothing() {
+        let p = pager();
+        let mut heap = HeapFile::new();
+        heap.append_rows(&p, (0..50).map(big)).unwrap();
+        let (snapshot, writes) = (heap.clone(), p.lock().stats().page_writes);
+        let mut seen = 0;
+        let err = heap.edit_rows(&p, 2, |rows| {
+            seen += 1;
+            if seen == 3 {
+                return Err(SqlError::Eval("boom".into()));
+            }
+            rows.clear();
+            Ok(true)
+        });
+        assert!(err.is_err());
+        assert_eq!(heap, snapshot);
+        assert_eq!(p.lock().stats().page_writes, writes);
     }
 
     #[test]

@@ -11,7 +11,7 @@
 use crate::blockdev::BLOCK_SIZE;
 use crate::{Result, StorageError};
 use ironsafe_crypto::aes::Aes128;
-use ironsafe_crypto::hmac512::hmac_sha512_trunc256;
+use ironsafe_crypto::hmac512::HmacSha512;
 use ironsafe_crypto::modes::{cbc_decrypt_aligned, cbc_encrypt_aligned};
 
 /// IV bytes at the head of each stored block.
@@ -24,7 +24,8 @@ pub const PAGE_PAYLOAD: usize = BLOCK_SIZE - IV_LEN - MAC_LEN;
 /// Encrypts/decrypts pages and computes their MACs.
 pub struct PageCodec {
     aes: Aes128,
-    mac_key: [u8; 32],
+    /// HMAC-SHA512 keyed once with the page MAC key.
+    mac: HmacSha512,
     /// Number of page encryptions performed (for the cost model).
     pub encrypt_count: u64,
     /// Number of page decryptions performed (for the cost model).
@@ -34,7 +35,12 @@ pub struct PageCodec {
 impl PageCodec {
     /// Build a codec from a 16-byte encryption key and 32-byte MAC key.
     pub fn new(enc_key: &[u8; 16], mac_key: &[u8; 32]) -> Self {
-        PageCodec { aes: Aes128::new(enc_key), mac_key: *mac_key, encrypt_count: 0, decrypt_count: 0 }
+        PageCodec {
+            aes: Aes128::new(enc_key),
+            mac: HmacSha512::new(mac_key),
+            encrypt_count: 0,
+            decrypt_count: 0,
+        }
     }
 
     /// Derive both keys from a single 16-byte database key (as SQLCipher
@@ -94,10 +100,8 @@ impl PageCodec {
 
     /// HMAC-SHA512/256 over `page_id ‖ IV ‖ ciphertext`.
     pub fn page_mac(&self, page_id: u64, block: &[u8; BLOCK_SIZE]) -> [u8; 32] {
-        hmac_sha512_trunc256(
-            &self.mac_key,
-            &[b"page", &page_id.to_be_bytes(), &block[..IV_LEN + PAGE_PAYLOAD]],
-        )
+        let ct = &block[..IV_LEN + PAGE_PAYLOAD];
+        self.mac.mac_parts_trunc256(&[b"page", &page_id.to_be_bytes(), ct])
     }
 }
 
@@ -343,6 +347,7 @@ pub fn decompress_page(framed: &[u8], expected_len: usize) -> Result<Vec<u8>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ironsafe_crypto::hmac512::hmac_sha512_trunc256;
     use rand::SeedableRng;
 
     fn codec() -> PageCodec {

@@ -27,7 +27,7 @@
 //! paths charging bit-identical [`PagerStats`](crate::pager::PagerStats)
 //! deltas.
 
-use ironsafe_crypto::hmac::{hmac_sha256_concat, HmacSha256};
+use ironsafe_crypto::hmac::HmacSha256;
 use std::collections::HashSet;
 
 /// A 32-byte node hash.
@@ -126,7 +126,8 @@ impl VerifiedNodeCache {
 /// Incremental Merkle tree.
 #[derive(Clone)]
 pub struct MerkleTree {
-    key: [u8; 32],
+    /// HMAC-SHA256 keyed once with the tree key; cloned per node hash.
+    mac: HmacSha256,
     arity: usize,
     /// `levels[0]` are the leaves; the last level has exactly one node.
     levels: Vec<Vec<NodeHash>>,
@@ -149,7 +150,7 @@ impl MerkleTree {
     pub fn new(key: [u8; 32], arity: usize) -> Self {
         assert!(arity >= 2, "Merkle arity must be at least 2");
         MerkleTree {
-            key,
+            mac: HmacSha256::new(&key),
             arity,
             levels: vec![Vec::new()],
             node_visits: 0,
@@ -287,11 +288,11 @@ impl MerkleTree {
     }
 
     fn leaf_hash(&self, index: u64, page_mac: &[u8; 32]) -> NodeHash {
-        hmac_sha256_concat(&self.key, &[b"merkle-leaf", &index.to_be_bytes(), page_mac])
+        self.mac.mac_parts(&[b"merkle-leaf", &index.to_be_bytes(), page_mac])
     }
 
     fn node_hash(&self, level: usize, children: &[NodeHash]) -> NodeHash {
-        let mut h = HmacSha256::new(&self.key);
+        let mut h = self.mac.clone();
         h.update(b"merkle-node");
         h.update(&(level as u32).to_be_bytes());
         for c in children {

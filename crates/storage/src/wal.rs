@@ -20,7 +20,7 @@ use crate::merkle::NodeHash;
 use crate::pager::PageId;
 use crate::{Result, StorageError};
 use ironsafe_crypto::aes::Aes128;
-use ironsafe_crypto::hmac::hmac_sha256_concat;
+use ironsafe_crypto::hmac::HmacSha256;
 use ironsafe_crypto::modes::{cbc_decrypt, cbc_encrypt};
 use ironsafe_faults::{FaultPlan, FaultSite};
 use ironsafe_obs::{Counter, Registry};
@@ -213,21 +213,22 @@ pub struct RecoveryInfo {
     pub tail: TailReport,
 }
 
-fn derive_keys(db_key: &[u8; 16]) -> (Aes128, [u8; 32]) {
+/// The log's cipher and its chain MAC, keyed once.
+fn derive_keys(db_key: &[u8; 16]) -> (Aes128, HmacSha256) {
     let enc = ironsafe_crypto::hkdf::derive_key_128(db_key, b"wal-enc");
     let mac = ironsafe_crypto::hkdf::derive_key_256(db_key, b"wal-mac");
-    (Aes128::new(&enc), mac)
+    (Aes128::new(&enc), HmacSha256::new(&mac))
 }
 
-fn chain_mac(mac_key: &[u8; 32], seq: u64, prev: &[u8; 32], iv: &[u8], ct: &[u8]) -> [u8; 32] {
-    hmac_sha256_concat(mac_key, &[CHAIN_TAG, &seq.to_be_bytes(), prev, iv, ct])
+fn chain_mac(mac: &HmacSha256, seq: u64, prev: &[u8; 32], iv: &[u8], ct: &[u8]) -> [u8; 32] {
+    mac.mac_parts(&[CHAIN_TAG, &seq.to_be_bytes(), prev, iv, ct])
 }
 
 /// The writer-side log handle.
 pub struct Wal {
     medium: WalMedium,
     aes: Aes128,
-    mac_key: [u8; 32],
+    mac: HmacSha256,
     next_seq: u64,
     head: [u8; 32],
     rng: rand::rngs::StdRng,
@@ -239,11 +240,11 @@ impl Wal {
     /// Fresh log keyed from the database key. `rng_seed` drives the
     /// record IVs (deterministic for a given seed, like the pager's).
     pub fn new(db_key: &[u8; 16], rng_seed: u64) -> Self {
-        let (aes, mac_key) = derive_keys(db_key);
+        let (aes, mac) = derive_keys(db_key);
         Wal {
             medium: WalMedium::new(),
             aes,
-            mac_key,
+            mac,
             next_seq: 0,
             head: EMPTY_HEAD,
             rng: rand::rngs::StdRng::seed_from_u64(rng_seed),
@@ -351,7 +352,7 @@ impl Wal {
         let mut iv = [0u8; 16];
         self.rng.fill(&mut iv);
         let ct = cbc_encrypt(&self.aes, &iv, plain);
-        let mac = chain_mac(&self.mac_key, self.next_seq, &self.head, &iv, &ct);
+        let mac = chain_mac(&self.mac, self.next_seq, &self.head, &iv, &ct);
         let body_len = FRAME_FIXED + ct.len();
         let mut frame = Vec::with_capacity(4 + body_len);
         frame.extend_from_slice(&(body_len as u32).to_be_bytes());
@@ -393,14 +394,16 @@ impl Wal {
         if committed_head == &EMPTY_HEAD {
             return Err(StorageError::WalCorrupt("RPMB holds no committed WAL head"));
         }
-        let (aes, mac_key) = derive_keys(db_key);
+        let (aes, mac) = derive_keys(db_key);
         let bytes = medium.bytes();
         let mut off = 0usize;
         let mut seq = 0u64;
         let mut prev = EMPTY_HEAD;
         let mut reached = false;
-        let mut checkpoint: Option<Checkpoint> = None;
-        let mut commits: Vec<CommitRecord> = Vec::new();
+        // The medium rebuilt so far: each verified record below the head
+        // is applied as soon as it decodes, so no record's plaintext
+        // outlives its own iteration. Dropped whole on any error.
+        let mut replay: Option<RecoveredState> = None;
         let mut tail = TailReport { uncommitted: 0, verdict: TailVerdict::Clean };
 
         while off < bytes.len() {
@@ -422,9 +425,9 @@ impl Wal {
             }
             let body = &bytes[off + 4..off + 4 + body_len];
             let (iv, rest) = body.split_at(16);
-            let (ct, mac) = rest.split_at(body_len - FRAME_FIXED);
-            let expect = chain_mac(&mac_key, seq, &prev, iv, ct);
-            if !ironsafe_crypto::ct_eq(&expect, mac) {
+            let (ct, tag) = rest.split_at(body_len - FRAME_FIXED);
+            let expect = chain_mac(&mac, seq, &prev, iv, ct);
+            if !ironsafe_crypto::ct_eq(&expect, tag) {
                 if reached {
                     tail.verdict = TailVerdict::Corrupt;
                     break;
@@ -434,35 +437,29 @@ impl Wal {
                 ));
             }
             let iv: [u8; 16] = iv.try_into().expect("16-byte IV");
-            let decoded = cbc_decrypt(&aes, &iv, ct)
-                .ok()
-                .and_then(|plain| decode_record(&plain, seq, checkpoint.is_some()));
-            let record = match decoded {
-                Some(r) => r,
-                None => {
-                    if reached {
-                        tail.verdict = TailVerdict::Corrupt;
-                        break;
-                    }
-                    return Err(StorageError::WalCorrupt(
-                        "undecodable WAL record below the committed head",
-                    ));
+            let plain = cbc_decrypt(&aes, &iv, ct).ok();
+            let decoded =
+                plain.as_deref().and_then(|p| decode_record(p, seq, replay.is_some()));
+            let Some(record) = decoded else {
+                if reached {
+                    tail.verdict = TailVerdict::Corrupt;
+                    break;
                 }
+                return Err(StorageError::WalCorrupt(
+                    "undecodable WAL record below the committed head",
+                ));
             };
             if reached {
                 // Chain-valid but past the RPMB bind: never committed.
                 tail.uncommitted += 1;
                 tail.verdict = TailVerdict::Uncommitted;
             } else {
-                match record {
-                    Record::Checkpoint(cp) => checkpoint = Some(cp),
-                    Record::Commit(c) => commits.push(c),
-                }
+                record.apply(&mut replay)?;
                 if ironsafe_crypto::ct_eq(&expect, committed_head) {
                     reached = true;
                 }
             }
-            prev = mac.try_into().expect("32-byte chain MAC");
+            prev = tag.try_into().expect("32-byte chain MAC");
             seq += 1;
             off += 4 + body_len;
         }
@@ -472,53 +469,76 @@ impl Wal {
                 "committed WAL head not found in the log (truncated or forked)",
             ));
         }
-        let checkpoint = checkpoint
-            .ok_or(StorageError::WalCorrupt("WAL has no checkpoint record"))?;
-
-        // Rebuild the medium: checkpoint image, then each commit's
-        // physical post-images in order.
-        let mut device = BlockDevice::new();
-        for block in &checkpoint.blocks {
-            let id = device.append_block();
-            let arr: &[u8; BLOCK_SIZE] =
-                block.as_slice().try_into().map_err(|_| {
-                    StorageError::WalCorrupt("checkpoint block of the wrong size")
-                })?;
-            device.write_block(id, arr)?;
-        }
-        let (mut epoch, mut root, mut catalog) =
-            (checkpoint.epoch, checkpoint.root, checkpoint.catalog);
-        for rec in &commits {
-            for (id, block) in &rec.writes {
-                let arr: &[u8; BLOCK_SIZE] =
-                    block.as_slice().try_into().map_err(|_| {
-                        StorageError::WalCorrupt("commit post-image of the wrong size")
-                    })?;
-                if *id == device.num_blocks() {
-                    device.append_block();
-                } else if *id > device.num_blocks() {
-                    return Err(StorageError::WalCorrupt(
-                        "commit record writes past the end of the device",
-                    ));
-                }
-                device.write_block(*id, arr)?;
-            }
-            epoch = rec.epoch;
-            root = rec.root;
-            catalog = rec.catalog.clone();
-        }
-        Ok(RecoveredState { device, epoch, root, catalog, replayed: commits.len(), tail })
+        let mut state = replay.ok_or(StorageError::WalCorrupt("WAL has no checkpoint record"))?;
+        state.tail = tail;
+        Ok(state)
     }
 }
 
-enum Record {
-    Checkpoint(Checkpoint),
-    Commit(CommitRecord),
+/// One decoded record, borrowing its blocks from the record plaintext.
+enum Record<'a> {
+    Checkpoint {
+        epoch: u64,
+        root: NodeHash,
+        blocks: Vec<&'a [u8; BLOCK_SIZE]>,
+        catalog: &'a [u8],
+    },
+    Commit {
+        epoch: u64,
+        root: NodeHash,
+        writes: Vec<(PageId, &'a [u8; BLOCK_SIZE])>,
+        catalog: &'a [u8],
+    },
+}
+
+impl Record<'_> {
+    /// Apply this committed record to the medium being rebuilt: the
+    /// checkpoint image starts it, each commit's physical post-images
+    /// follow in order.
+    fn apply(self, replay: &mut Option<RecoveredState>) -> Result<()> {
+        match self {
+            Record::Checkpoint { epoch, root, blocks, catalog } => {
+                let mut device = BlockDevice::new();
+                for block in blocks {
+                    let id = device.append_block();
+                    device.write_block(id, block)?;
+                }
+                *replay = Some(RecoveredState {
+                    device,
+                    epoch,
+                    root,
+                    catalog: catalog.to_vec(),
+                    replayed: 0,
+                    tail: TailReport { uncommitted: 0, verdict: TailVerdict::Clean },
+                });
+            }
+            Record::Commit { epoch, root, writes, catalog } => {
+                let state =
+                    replay.as_mut().expect("decode admits commits only after the checkpoint");
+                let device = &mut state.device;
+                for (id, block) in writes {
+                    if id == device.num_blocks() {
+                        device.append_block();
+                    } else if id > device.num_blocks() {
+                        return Err(StorageError::WalCorrupt(
+                            "commit record writes past the end of the device",
+                        ));
+                    }
+                    device.write_block(id, block)?;
+                }
+                state.epoch = epoch;
+                state.root = root;
+                state.catalog = catalog.to_vec();
+                state.replayed += 1;
+            }
+        }
+        Ok(())
+    }
 }
 
 /// Strict decode of one plaintext record; `None` on any malformation
 /// (wrong tag for its position, short buffer, trailing garbage).
-fn decode_record(plain: &[u8], seq: u64, have_checkpoint: bool) -> Option<Record> {
+fn decode_record(plain: &[u8], seq: u64, have_checkpoint: bool) -> Option<Record<'_>> {
     let mut cur = Cursor { buf: plain, off: 0 };
     let tag = cur.u8()?;
     let epoch = cur.u64()?;
@@ -526,26 +546,20 @@ fn decode_record(plain: &[u8], seq: u64, have_checkpoint: bool) -> Option<Record
     match tag {
         TAG_CHECKPOINT if seq == 0 => {
             let n = cur.u32()? as usize;
-            let mut blocks = Vec::with_capacity(n);
-            for _ in 0..n {
-                blocks.push(cur.take(BLOCK_SIZE)?.to_vec());
-            }
+            let blocks = (0..n).map(|_| cur.block()).collect::<Option<Vec<_>>>()?;
             let cat_len = cur.u32()? as usize;
-            let catalog = cur.take(cat_len)?.to_vec();
+            let catalog = cur.take(cat_len)?;
             cur.done()?;
-            Some(Record::Checkpoint(Checkpoint { epoch, root, blocks, catalog }))
+            Some(Record::Checkpoint { epoch, root, blocks, catalog })
         }
         TAG_COMMIT if seq > 0 && have_checkpoint => {
             let n = cur.u32()? as usize;
-            let mut writes = Vec::with_capacity(n);
-            for _ in 0..n {
-                let id = cur.u64()?;
-                writes.push((id, cur.take(BLOCK_SIZE)?.to_vec()));
-            }
+            let writes =
+                (0..n).map(|_| Some((cur.u64()?, cur.block()?))).collect::<Option<Vec<_>>>()?;
             let cat_len = cur.u32()? as usize;
-            let catalog = cur.take(cat_len)?.to_vec();
+            let catalog = cur.take(cat_len)?;
             cur.done()?;
-            Some(Record::Commit(CommitRecord { epoch, root, writes, catalog }))
+            Some(Record::Commit { epoch, root, writes, catalog })
         }
         _ => None,
     }
@@ -564,6 +578,10 @@ impl<'a> Cursor<'a> {
         let s = &self.buf[self.off..self.off + n];
         self.off += n;
         Some(s)
+    }
+
+    fn block(&mut self) -> Option<&'a [u8; BLOCK_SIZE]> {
+        self.take(BLOCK_SIZE)?.try_into().ok()
     }
 
     fn u8(&mut self) -> Option<u8> {
