@@ -2,7 +2,7 @@
 //! and the end-to-end partitioner.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
-use ironsafe_csa::partition::partition_select;
+use ironsafe_csa::partition::{partition_select, OffloadDecision};
 use ironsafe_sql::ast::Statement;
 use ironsafe_sql::parser::parse_statement;
 use ironsafe_sql::{Database, Schema};
@@ -72,7 +72,9 @@ fn bench_parse_and_partition(c: &mut Criterion) {
         db.catalog().table(name).ok().map(|t| t.schema.clone())
     };
     c.bench_function("partition_q3", |b| {
-        b.iter(|| partition_select(std::hint::black_box(&sel), &lookup))
+        b.iter(|| {
+            partition_select(std::hint::black_box(&sel), &lookup, &|_, _| OffloadDecision::Offload)
+        })
     });
 }
 

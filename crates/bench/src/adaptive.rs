@@ -6,11 +6,11 @@
 //! (scs) configuration. At every grid point three policies run the same
 //! Q1 selectivity variant on identically prepared systems:
 //!
-//! * **all-host** (`PartitionStrategy::AllHost`) — every fragment ships
-//!   raw pages to the host;
-//! * **all-offload** (`PartitionStrategy::Static`) — the paper's static
-//!   partitioner, pushing every select down to storage;
-//! * **adaptive** (`PartitionStrategy::Adaptive`) — the cost-based
+//! * **all-host** (`PlacementPolicy::Pinned(ShipPages)`) — every
+//!   fragment ships raw pages to the host;
+//! * **all-offload** (`PlacementPolicy::Pinned(Offload)`) — the paper's
+//!   static partitioner, pushing every select down to storage;
+//! * **adaptive** (`PlacementPolicy::CostBased`) — the cost-based
 //!   planner, primed by one prior offload run so its EWMA estimates
 //!   carry the observed selectivity, wire width and temp density.
 //!
@@ -34,7 +34,8 @@
 
 use crate::figures::{q1_with_selectivity, SEED};
 use ironsafe_csa::{
-    CostParams, CsaSystem, Estimate, PartitionStrategy, QueryReport, ReplanPolicy, SystemConfig,
+    CostParams, CsaSystem, Estimate, OffloadDecision, PlacementPolicy, QueryReport, ReplanPolicy,
+    SystemConfig,
 };
 use ironsafe_tpch::generate;
 use ironsafe_tpch::queries::{PaperQuery, QueryStage};
@@ -160,12 +161,12 @@ fn build(data: &TpchData, storage_cores: u32) -> CsaSystem {
 fn run_static(
     data: &TpchData,
     q: &PaperQuery,
-    strategy: PartitionStrategy,
+    pin: OffloadDecision,
     cores: u32,
     pressure: u64,
 ) -> QueryReport {
     let mut sys = build(data, cores);
-    sys.set_partition_strategy(strategy);
+    sys.set_placement(PlacementPolicy::Pinned(pin));
     sys.set_epc_pressure(pressure);
     sys.run_query(q).expect("prime run");
     sys.run_query(q).expect("measured run")
@@ -177,9 +178,8 @@ fn run_static(
 fn run_adaptive(data: &TpchData, q: &PaperQuery, cores: u32, pressure: u64) -> QueryReport {
     let mut sys = build(data, cores);
     sys.set_epc_pressure(pressure);
-    sys.set_partition_strategy(PartitionStrategy::Static);
     sys.run_query(q).expect("priming run");
-    sys.set_partition_strategy(PartitionStrategy::Adaptive);
+    sys.set_placement(PlacementPolicy::CostBased);
     sys.run_query(q).expect("adaptive run")
 }
 
@@ -195,9 +195,9 @@ pub fn adaptive_sweep(sf: f64) -> (Vec<AdaptiveCell>, ReplanDemo) {
                 for &sel in &ADAPTIVE_SELECTIVITIES {
                     let q = shape_query(shape, sel);
                     let allhost =
-                        run_static(&data, &q, PartitionStrategy::AllHost, cores, pressure);
+                        run_static(&data, &q, OffloadDecision::ShipPages, cores, pressure);
                     let offload =
-                        run_static(&data, &q, PartitionStrategy::Static, cores, pressure);
+                        run_static(&data, &q, OffloadDecision::Offload, cores, pressure);
                     let adaptive = run_adaptive(&data, &q, cores, pressure);
                     let label = format!("{shape} cores={cores} sel={sel}% pressure={pressure}");
                     assert_eq!(digest(&allhost), digest(&offload), "{label}: static digests");
@@ -263,7 +263,7 @@ fn replan_demo(data: &TpchData) -> ReplanDemo {
     let q = q1_with_selectivity(actual_pct);
     let run = |replan: Option<ReplanPolicy>| {
         let mut sys = build(data, 8);
-        sys.set_partition_strategy(PartitionStrategy::Adaptive);
+        sys.set_placement(PlacementPolicy::CostBased);
         sys.pin_table_estimate("lineitem", pinned.clone());
         sys.set_replan(replan);
         let registry = ironsafe_obs::Registry::new();
@@ -359,8 +359,8 @@ mod tests {
             &[("agg", 8u32, 1u32, 0u64), ("wide", 2, 100, 0), ("agg", 8, 50, 24_420)]
         {
             let q = shape_query(shape, sel);
-            let allhost = run_static(&data, &q, PartitionStrategy::AllHost, cores, pressure);
-            let offload = run_static(&data, &q, PartitionStrategy::Static, cores, pressure);
+            let allhost = run_static(&data, &q, OffloadDecision::ShipPages, cores, pressure);
+            let offload = run_static(&data, &q, OffloadDecision::Offload, cores, pressure);
             let adaptive = run_adaptive(&data, &q, cores, pressure);
             assert_eq!(digest(&allhost), digest(&adaptive), "{shape} sel={sel}");
             assert_eq!(digest(&offload), digest(&adaptive), "{shape} sel={sel}");

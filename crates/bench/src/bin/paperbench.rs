@@ -17,7 +17,9 @@
 //! path — per-page climbs vs shared-path batches vs the warm
 //! verified-node cache — across arities and access patterns, then
 //! measures the whole-query effect on Q1/Q6/Q18; `--json` additionally
-//! writes the snapshot to `BENCH_5.json`.
+//! writes the snapshot to `BENCH_5.json`; `--check` regenerates it and
+//! byte-compares against the committed baseline (committed at SF 0.003,
+//! the default), exiting nonzero on drift (the freshness regression gate).
 //!
 //! `profile` (not part of `all`) runs the end-to-end query profiler:
 //! `EXPLAIN ANALYZE` profiles for Q1/Q6 across every Table 2
@@ -37,16 +39,14 @@
 //! baseline, exiting nonzero on drift (the federation regression gate).
 //! Defaults to SF 0.002 unless `--sf` is given.
 //!
-//! `vectors` (not part of `all`) sweeps vectorized (column-batch)
-//! execution against the scalar baseline and compress-before-encrypt
-//! pages against the raw store, Q1/Q6 on IronSafe: result digests and
-//! physical counters per mode, the per-query encrypted-byte/MAC
-//! dividend of compression, and measured scalar-vs-vector wall-clock
-//! speedup at DOP 1. `--json` writes the snapshot to `BENCH_8.json`;
-//! `--check` regenerates the deterministic invariants block and
-//! compares it byte for byte against the committed baseline, exiting
-//! nonzero on drift (the vectorization regression gate). Defaults to
-//! SF 0.002 unless `--sf` is given.
+//! `vectors` (not part of `all`) sweeps compress-before-encrypt pages
+//! against the raw store under the vectorized engine, Q1/Q6 on
+//! IronSafe: result digests and physical counters per storage format,
+//! and the per-query encrypted-byte/MAC dividend of compression.
+//! `--json` writes the snapshot to `BENCH_8.json`; `--check` regenerates
+//! it and compares it byte for byte against the committed baseline,
+//! exiting nonzero on drift (the vectorization regression gate).
+//! Defaults to SF 0.002 unless `--sf` is given.
 //!
 //! `adaptive` (not part of `all`) sweeps the telemetry-driven offload
 //! optimizer against both static placement policies across a
@@ -76,6 +76,48 @@
 #![forbid(unsafe_code)]
 
 use ironsafe_bench::*;
+
+/// The `--check` / `--json` gate shared by every committed BENCH snapshot.
+///
+/// `gated` is the deterministic part of `snapshot`: the whole snapshot,
+/// or its leading `"invariants"` block when the rest is wall-clock.
+/// `--check` byte-compares it against the committed `file` and exits 1
+/// after printing the first divergent lines; `--json` writes the full
+/// `snapshot` to `file`.
+fn snapshot_gate(cmd: &str, file: &str, (check, json_out): (bool, bool), gated: &str, snapshot: &str) {
+    if check {
+        let baseline = std::fs::read_to_string(file)
+            .unwrap_or_else(|e| panic!("{cmd} --check needs the committed {file} baseline: {e}"));
+        let committed = if gated.starts_with('{') {
+            baseline.as_str()
+        } else {
+            baseline
+                .find("  \"invariants\"")
+                .and_then(|start| {
+                    baseline[start..].find("\n  }").map(|end| &baseline[start..start + end + 4])
+                })
+                .unwrap_or("(no invariants block found)")
+        };
+        let diffs = diff_snapshots(committed, gated);
+        if !diffs.is_empty() {
+            eprintln!("{cmd}: snapshot DIVERGES from {file}:");
+            for d in &diffs {
+                eprintln!("{d}");
+            }
+            eprintln!("(regenerate with `paperbench {cmd} --json` if the change is intended)");
+            std::process::exit(1);
+        }
+        println!("{cmd}: snapshot matches {file} byte for byte (gate passes)");
+    }
+    if json_out {
+        assert!(
+            ironsafe_obs::export::looks_like_valid_json(snapshot),
+            "{cmd} snapshot failed JSON self-check"
+        );
+        std::fs::write(file, snapshot).unwrap_or_else(|e| panic!("write {file}: {e}"));
+        println!("{cmd}: wrote snapshot to {file}");
+    }
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -295,38 +337,13 @@ fn main() {
             );
         }
         println!("(non-blocking contract: percentiles flat within noise as write load rises)\n");
-        let inv_block = writes_invariants_json(msf, &cells, &amort);
-        if check {
-            let baseline = std::fs::read_to_string("BENCH_9.json")
-                .expect("saturation --check needs the committed BENCH_9.json baseline");
-            if baseline.contains(&inv_block) {
-                println!("saturation: invariants match BENCH_9.json byte for byte (gate passes)");
-            } else {
-                eprintln!("saturation: invariants DIVERGE from BENCH_9.json:");
-                let committed_block = baseline
-                    .find("  \"invariants\"")
-                    .and_then(|start| {
-                        baseline[start..].find("\n  }").map(|end| &baseline[start..start + end + 4])
-                    })
-                    .unwrap_or("(no invariants block found)");
-                for d in ironsafe_bench::diff_snapshots(committed_block, &inv_block) {
-                    eprintln!("{d}");
-                }
-                eprintln!(
-                    "(regenerate with `paperbench saturation --json` if the change is intended)"
-                );
-                std::process::exit(1);
-            }
-        }
-        if json_out {
-            let json = writes_json(msf, &cells, &amort, &wallclock);
-            assert!(
-                ironsafe_obs::export::looks_like_valid_json(&json),
-                "saturation snapshot failed JSON self-check"
-            );
-            std::fs::write("BENCH_9.json", &json).expect("write BENCH_9.json");
-            println!("saturation: wrote mixed read/write snapshot to BENCH_9.json");
-        }
+        snapshot_gate(
+            "saturation",
+            "BENCH_9.json",
+            (check, json_out),
+            &writes_invariants_json(msf, &cells, &amort),
+            &writes_json(msf, &cells, &amort, &wallclock),
+        );
         return;
     }
 
@@ -479,15 +496,8 @@ fn main() {
             );
         }
         println!("(rows verified identical with the cache on and off at every point)");
-        if json_out {
-            let json = freshness_json(sf, &sweep, &queries);
-            assert!(
-                ironsafe_obs::export::looks_like_valid_json(&json),
-                "freshness snapshot failed JSON self-check"
-            );
-            std::fs::write("BENCH_5.json", &json).expect("write BENCH_5.json");
-            println!("freshness: wrote perf snapshot to BENCH_5.json");
-        }
+        let json = freshness_json(sf, &sweep, &queries);
+        snapshot_gate("freshness", "BENCH_5.json", (check, json_out), &json, &json);
         println!();
         return;
     }
@@ -522,38 +532,13 @@ fn main() {
             println!("{:>3} {:>6} {:>10.1} {:>8.2}ms", w.shards, w.runs, w.qps, w.p95_ms);
         }
         println!();
-        let inv_block = shards_invariants_json(ssf, &invariants);
-        if check {
-            let baseline = std::fs::read_to_string("BENCH_7.json")
-                .expect("shards --check needs the committed BENCH_7.json baseline");
-            if baseline.contains(&inv_block) {
-                println!("shards: invariants match BENCH_7.json byte for byte (gate passes)");
-            } else {
-                eprintln!("shards: invariants DIVERGE from BENCH_7.json:");
-                let committed_block = baseline
-                    .find("  \"invariants\"")
-                    .and_then(|start| {
-                        baseline[start..].find("\n  }").map(|end| &baseline[start..start + end + 4])
-                    })
-                    .unwrap_or("(no invariants block found)");
-                for d in ironsafe_bench::diff_snapshots(committed_block, &inv_block) {
-                    eprintln!("{d}");
-                }
-                eprintln!(
-                    "(regenerate with `paperbench shards --json` if the change is intended)"
-                );
-                std::process::exit(1);
-            }
-        }
-        if json_out {
-            let json = shards_json(ssf, &invariants, &wallclock);
-            assert!(
-                ironsafe_obs::export::looks_like_valid_json(&json),
-                "shards snapshot failed JSON self-check"
-            );
-            std::fs::write("BENCH_7.json", &json).expect("write BENCH_7.json");
-            println!("shards: wrote federation snapshot to BENCH_7.json");
-        }
+        snapshot_gate(
+            "shards",
+            "BENCH_7.json",
+            (check, json_out),
+            &shards_invariants_json(ssf, &invariants),
+            &shards_json(ssf, &invariants, &wallclock),
+        );
         return;
     }
 
@@ -565,14 +550,13 @@ fn main() {
         );
         let (cells, dividends) = vectors_sweep(vsf, &ids);
         println!(
-            "{:>5} {:>7} {:>6} {:>14} {:>8} {:>9} {:>8} {:>6} {:>18}",
-            "query", "mode", "pages", "total (sim)", "reads", "decrypts", "merkle", "rows", "result digest"
+            "{:>5} {:>6} {:>14} {:>8} {:>9} {:>8} {:>6} {:>18}",
+            "query", "pages", "total (sim)", "reads", "decrypts", "merkle", "rows", "result digest"
         );
         for c in &cells {
             println!(
-                "{:>5} {:>7} {:>6} {:>12.0}ns {:>8} {:>9} {:>8} {:>6} {:>18}",
+                "{:>5} {:>6} {:>12.0}ns {:>8} {:>9} {:>8} {:>6} {:>18}",
                 format!("#{}", c.query_id),
-                if c.vectorized { "vector" } else { "scalar" },
                 if c.compressed { "comp" } else { "raw" },
                 c.total_ns,
                 c.pages_read,
@@ -582,7 +566,7 @@ fn main() {
                 c.result_digest
             );
         }
-        println!("(digests identical across all four modes; scalar/vector twins share counters)\n");
+        println!("(digests identical across raw and compressed pages)\n");
         println!(
             "{:>5} {:>16} {:>16} {:>12}   (compress-before-encrypt dividend)",
             "query", "enc bytes raw", "enc bytes comp", "MACs saved"
@@ -597,55 +581,13 @@ fn main() {
             );
         }
         println!();
-        let wsf = if sf_given { sf } else { VECTORS_WALL_SF };
-        let wallclock = vectors_wallclock(wsf, &ids);
-        println!(
-            "{:>5} {:>6} {:>11} {:>11} {:>9}   (wall-clock, hons DOP 1, SF {wsf})",
-            "query", "runs", "scalar", "vector", "speedup"
+        snapshot_gate(
+            "vectors",
+            "BENCH_8.json",
+            (check, json_out),
+            &vectors_invariants_json(vsf, &cells, &dividends),
+            &vectors_json(vsf, &cells, &dividends),
         );
-        for w in &wallclock {
-            println!(
-                "{:>5} {:>6} {:>9.2}ms {:>9.2}ms {:>8.2}x",
-                format!("#{}", w.query_id),
-                w.runs,
-                w.scalar_ms,
-                w.vector_ms,
-                w.speedup
-            );
-        }
-        println!();
-        let inv_block = vectors_invariants_json(vsf, &cells, &dividends);
-        if check {
-            let baseline = std::fs::read_to_string("BENCH_8.json")
-                .expect("vectors --check needs the committed BENCH_8.json baseline");
-            if baseline.contains(&inv_block) {
-                println!("vectors: invariants match BENCH_8.json byte for byte (gate passes)");
-            } else {
-                eprintln!("vectors: invariants DIVERGE from BENCH_8.json:");
-                let committed_block = baseline
-                    .find("  \"invariants\"")
-                    .and_then(|start| {
-                        baseline[start..].find("\n  }").map(|end| &baseline[start..start + end + 4])
-                    })
-                    .unwrap_or("(no invariants block found)");
-                for d in ironsafe_bench::diff_snapshots(committed_block, &inv_block) {
-                    eprintln!("{d}");
-                }
-                eprintln!(
-                    "(regenerate with `paperbench vectors --json` if the change is intended)"
-                );
-                std::process::exit(1);
-            }
-        }
-        if json_out {
-            let json = vectors_json(vsf, &cells, &dividends, &wallclock);
-            assert!(
-                ironsafe_obs::export::looks_like_valid_json(&json),
-                "vectors snapshot failed JSON self-check"
-            );
-            std::fs::write("BENCH_8.json", &json).expect("write BENCH_8.json");
-            println!("vectors: wrote vectorization snapshot to BENCH_8.json");
-        }
         return;
     }
 
@@ -687,38 +629,13 @@ fn main() {
             demo.replans,
             if demo.replans == 1 { "" } else { "s" }
         );
-        let inv_block = adaptive_invariants_json(asf, &cells, &demo);
-        if check {
-            let baseline = std::fs::read_to_string("BENCH_10.json")
-                .expect("adaptive --check needs the committed BENCH_10.json baseline");
-            if baseline.contains(&inv_block) {
-                println!("adaptive: invariants match BENCH_10.json byte for byte (gate passes)");
-            } else {
-                eprintln!("adaptive: invariants DIVERGE from BENCH_10.json:");
-                let committed_block = baseline
-                    .find("  \"invariants\"")
-                    .and_then(|start| {
-                        baseline[start..].find("\n  }").map(|end| &baseline[start..start + end + 4])
-                    })
-                    .unwrap_or("(no invariants block found)");
-                for d in ironsafe_bench::diff_snapshots(committed_block, &inv_block) {
-                    eprintln!("{d}");
-                }
-                eprintln!(
-                    "(regenerate with `paperbench adaptive --json` if the change is intended)"
-                );
-                std::process::exit(1);
-            }
-        }
-        if json_out {
-            let json = adaptive_json(asf, &cells, &demo);
-            assert!(
-                ironsafe_obs::export::looks_like_valid_json(&json),
-                "adaptive snapshot failed JSON self-check"
-            );
-            std::fs::write("BENCH_10.json", &json).expect("write BENCH_10.json");
-            println!("adaptive: wrote optimizer snapshot to BENCH_10.json");
-        }
+        snapshot_gate(
+            "adaptive",
+            "BENCH_10.json",
+            (check, json_out),
+            &adaptive_invariants_json(asf, &cells, &demo),
+            &adaptive_json(asf, &cells, &demo),
+        );
         return;
     }
 
@@ -746,31 +663,7 @@ fn main() {
         }
         println!();
         let json = profiles_json(psf, &profiles);
-        assert!(
-            ironsafe_obs::export::looks_like_valid_json(&json),
-            "profile snapshot failed JSON self-check"
-        );
-        if check {
-            let baseline = std::fs::read_to_string("BENCH_6.json")
-                .expect("profile --check needs the committed BENCH_6.json baseline");
-            let diffs = ironsafe_bench::diff_snapshots(&baseline, &json);
-            if diffs.is_empty() {
-                println!("profile: snapshot matches BENCH_6.json byte for byte (gate passes)");
-            } else {
-                eprintln!("profile: snapshot DIVERGES from BENCH_6.json:");
-                for d in &diffs {
-                    eprintln!("{d}");
-                }
-                eprintln!(
-                    "(regenerate with `paperbench profile --json` if the change is intended)"
-                );
-                std::process::exit(1);
-            }
-        }
-        if json_out {
-            std::fs::write("BENCH_6.json", &json).expect("write BENCH_6.json");
-            println!("profile: wrote profiler snapshot to BENCH_6.json");
-        }
+        snapshot_gate("profile", "BENCH_6.json", (check, json_out), &json, &json);
         return;
     }
 

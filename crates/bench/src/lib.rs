@@ -35,10 +35,7 @@ pub use profiles::{diff_snapshots, profile_matrix, profiles_json, PROFILE_SF};
 pub use shards::{
     shards_invariants_json, shards_json, shards_sweep, SHARDS_SF, SHARD_COUNTS,
 };
-pub use vectors::{
-    vectors_invariants_json, vectors_json, vectors_sweep, vectors_wallclock, VECTORS_SF,
-    VECTORS_WALL_SF,
-};
+pub use vectors::{vectors_invariants_json, vectors_json, vectors_sweep, VECTORS_SF};
 pub use writes::{
     mixed_sweep, mixed_wallclock, writes_invariants_json, writes_json, WRITES_SF, WRITE_BURSTS,
 };

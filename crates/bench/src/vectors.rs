@@ -1,44 +1,32 @@
-//! The `paperbench vectors` harness: vectorized execution × page
-//! compression sweep, exported as the `BENCH_8.json` snapshot.
+//! The `paperbench vectors` harness: the vectorized engine over raw vs
+//! compressed pages, exported as the `BENCH_8.json` snapshot.
 //!
-//! The snapshot has two sections. `"invariants"` holds only quantities
-//! the engine pins deterministically: one cell per (query, execution
-//! mode, storage format) with the simulated total, physical pager
-//! counters and a result digest — the digest is identical across all
-//! four mode combinations (vectorization and compression never change
-//! the answer), and the scalar/vector pairs share identical physical
-//! counters (vectorization never changes what is read). A `"reductions"`
-//! array derives the compress-before-encrypt dividend per query:
-//! encrypted bytes and MAC verifications saved on the scan path. It is
-//! byte-deterministic, so `--check` regenerates it and compares it byte
-//! for byte against the committed file (the vectorization regression
-//! gate). `"wallclock"` holds measured scalar-vs-vector speedups;
-//! wall-clock numbers vary run to run and are exempt from the gate.
+//! The snapshot's `"invariants"` block holds only quantities the engine
+//! pins deterministically: one cell per (query, storage format) with the
+//! simulated total, physical pager counters and a result digest — the
+//! digest is identical across both formats (compression never changes
+//! the answer). A `"reductions"` array derives the compress-before-encrypt
+//! dividend per query: encrypted bytes and MAC verifications saved on
+//! the scan path. It is byte-deterministic, so `--check` regenerates it
+//! and compares it byte for byte against the committed file (the
+//! vectorization regression gate).
 
 use crate::figures::SEED;
 use ironsafe_csa::{CostParams, CsaSystem, SystemConfig};
 use ironsafe_tpch::generate;
 use ironsafe_tpch::queries::PaperQuery;
-use std::time::Instant;
 
 /// Default scale factor for the deterministic invariants sweep.
 pub const VECTORS_SF: f64 = 0.002;
 
-/// Scale factor for the wall-clock speedup loop (larger, so per-query
-/// execution time dominates fixed per-run overheads).
-pub const VECTORS_WALL_SF: f64 = 0.01;
-
-/// One (query, execution mode, storage format) cell of the sweep.
+/// One (query, storage format) cell of the sweep.
 #[derive(Debug, Clone)]
 pub struct VectorCell {
     /// TPC-H query id.
     pub query_id: u8,
-    /// Vectorized (column-batch) operators, or the scalar baseline.
-    pub vectorized: bool,
     /// Compress-before-encrypt pages, or the raw page store.
     pub compressed: bool,
-    /// Simulated total (identical for scalar and vector on the same
-    /// storage format).
+    /// Simulated total.
     pub total_ns: f64,
     /// Physical page reads during the query.
     pub pages_read: u64,
@@ -66,21 +54,6 @@ pub struct CompressionDividend {
     pub mac_reduction_pct: f64,
 }
 
-/// Measured scalar-vs-vector serving time for one query at DOP 1.
-#[derive(Debug, Clone)]
-pub struct VectorWallclock {
-    /// TPC-H query id.
-    pub query_id: u8,
-    /// Timed runs per mode.
-    pub runs: usize,
-    /// Best-of-runs scalar latency, milliseconds.
-    pub scalar_ms: f64,
-    /// Best-of-runs vectorized latency, milliseconds.
-    pub vector_ms: f64,
-    /// `scalar_ms / vector_ms`.
-    pub speedup: f64,
-}
-
 fn digest(result: &ironsafe_sql::QueryResult) -> String {
     let rendered = format!("{result:?}");
     let hash = ironsafe_crypto::sha256::sha256(rendered.as_bytes());
@@ -91,66 +64,50 @@ fn paper_query(id: u8) -> PaperQuery {
     ironsafe_tpch::queries::query(id).expect("known query")
 }
 
-/// Run the deterministic sweep on IronSafe (scs): every query id under
-/// {scalar, vector} × {raw, compressed}, asserting the parity contract
-/// as it goes, and derive the per-query compression dividend.
+/// Run the deterministic sweep on IronSafe (scs): every query id over
+/// {raw, compressed} pages, asserting the parity contract as it goes,
+/// and derive the per-query compression dividend.
 pub fn vectors_sweep(sf: f64, ids: &[u8]) -> (Vec<VectorCell>, Vec<CompressionDividend>) {
     let data = generate(sf, SEED);
+    let payload = ironsafe_storage::PAGE_PAYLOAD as u64;
     let mut cells = Vec::new();
-    let mut payload = 0usize;
     for compressed in [false, true] {
-        for vectorized in [false, true] {
-            let mut sys = CsaSystem::build_with_compression(
-                SystemConfig::IronSafe,
-                &data,
-                CostParams::default(),
+        let mut sys = CsaSystem::build_with_compression(
+            SystemConfig::IronSafe,
+            &data,
+            CostParams::default(),
+            compressed,
+        )
+        .expect("system builds");
+        for &id in ids {
+            let q = paper_query(id);
+            let before = sys.storage_db().pager_stats();
+            let report = sys
+                .run_query(&q)
+                .unwrap_or_else(|e| panic!("Q{id} compressed={compressed}: {e}"));
+            let after = sys.storage_db().pager_stats();
+            cells.push(VectorCell {
+                query_id: id,
                 compressed,
-            )
-            .expect("system builds");
-            sys.set_vectorized(vectorized);
-            payload = ironsafe_storage::PAGE_PAYLOAD;
-            for &id in ids {
-                let q = paper_query(id);
-                let before = sys.storage_db().pager_stats();
-                let report = sys.run_query(&q).unwrap_or_else(|e| {
-                    panic!("Q{id} vectorized={vectorized} compressed={compressed}: {e}")
-                });
-                let after = sys.storage_db().pager_stats();
-                cells.push(VectorCell {
-                    query_id: id,
-                    vectorized,
-                    compressed,
-                    total_ns: report.breakdown.total_ns(),
-                    pages_read: after.page_reads - before.page_reads,
-                    decrypts: after.decrypts - before.decrypts,
-                    merkle_nodes: after.merkle_nodes - before.merkle_nodes,
-                    rows: report.result.rows().len() as u64,
-                    result_digest: digest(&report.result),
-                });
-            }
+                total_ns: report.breakdown.total_ns(),
+                pages_read: after.page_reads - before.page_reads,
+                decrypts: after.decrypts - before.decrypts,
+                merkle_nodes: after.merkle_nodes - before.merkle_nodes,
+                rows: report.result.rows().len() as u64,
+                result_digest: digest(&report.result),
+            });
         }
     }
 
     // The contract, enforced inside the harness: one digest per query
-    // across all four combinations; scalar and vector twins share the
-    // same physical counters and simulated total.
+    // across both storage formats.
     let mut dividends = Vec::new();
     for &id in ids {
-        let of = |vectorized: bool, compressed: bool| {
-            cells
-                .iter()
-                .find(|c| c.query_id == id && c.vectorized == vectorized && c.compressed == compressed)
-                .expect("cell")
+        let of = |compressed: bool| {
+            cells.iter().find(|c| c.query_id == id && c.compressed == compressed).expect("cell")
         };
-        let (sr, vr, sc, vc) = (of(false, false), of(true, false), of(false, true), of(true, true));
-        for c in [vr, sc, vc] {
-            assert_eq!(c.result_digest, sr.result_digest, "Q{id}: result drifted across modes");
-        }
-        for (scalar, vector) in [(sr, vr), (sc, vc)] {
-            assert_eq!(vector.total_ns, scalar.total_ns, "Q{id}: vectorization changed sim cost");
-            assert_eq!(vector.pages_read, scalar.pages_read, "Q{id}: vectorization changed reads");
-            assert_eq!(vector.decrypts, scalar.decrypts, "Q{id}: vectorization changed decrypts");
-        }
+        let (sr, sc) = (of(false), of(true));
+        assert_eq!(sc.result_digest, sr.result_digest, "Q{id}: compression changed the result");
         let reduction = 100.0 * (1.0 - sc.decrypts as f64 / sr.decrypts.max(1) as f64);
         assert!(
             reduction >= 30.0,
@@ -158,51 +115,12 @@ pub fn vectors_sweep(sf: f64, ids: &[u8]) -> (Vec<VectorCell>, Vec<CompressionDi
         );
         dividends.push(CompressionDividend {
             query_id: id,
-            encrypted_bytes_raw: sr.decrypts * payload as u64,
-            encrypted_bytes_compressed: sc.decrypts * payload as u64,
+            encrypted_bytes_raw: sr.decrypts * payload,
+            encrypted_bytes_compressed: sc.decrypts * payload,
             mac_reduction_pct: reduction,
         });
     }
     (cells, dividends)
-}
-
-/// Time scalar vs vectorized serving at DOP 1 on the non-secure
-/// host-only configuration (raw pages, no crypto), so the measured
-/// ratio isolates the execution engine. Best-of-`runs` latencies.
-pub fn vectors_wallclock(sf: f64, ids: &[u8]) -> Vec<VectorWallclock> {
-    let data = generate(sf, SEED);
-    let runs = 5usize;
-    let mut out = Vec::new();
-    let mut scalar_sys =
-        CsaSystem::build(SystemConfig::HostOnlyNonSecure, &data, CostParams::default())
-            .expect("system builds");
-    let mut vector_sys =
-        CsaSystem::build(SystemConfig::HostOnlyNonSecure, &data, CostParams::default())
-            .expect("system builds");
-    vector_sys.set_vectorized(true);
-    for &id in ids {
-        let q = paper_query(id);
-        let time_best = |sys: &mut CsaSystem| {
-            sys.run_query(&q).expect("warmup run");
-            let mut best = f64::INFINITY;
-            for _ in 0..runs {
-                let t = Instant::now();
-                sys.run_query(&q).expect("timed run");
-                best = best.min(t.elapsed().as_secs_f64() * 1e3);
-            }
-            best
-        };
-        let scalar_ms = time_best(&mut scalar_sys);
-        let vector_ms = time_best(&mut vector_sys);
-        out.push(VectorWallclock {
-            query_id: id,
-            runs,
-            scalar_ms,
-            vector_ms,
-            speedup: scalar_ms / vector_ms,
-        });
-    }
-    out
 }
 
 /// The byte-deterministic `"invariants"` JSON block (also embedded
@@ -216,10 +134,9 @@ pub fn vectors_invariants_json(
     s.push_str(&format!("    \"sf\": {sf},\n    \"seed\": {SEED},\n    \"cells\": [\n"));
     for (i, c) in cells.iter().enumerate() {
         s.push_str(&format!(
-            "      {{\"query_id\":{},\"vectorized\":{},\"compressed\":{},\"total_ns\":{},\
+            "      {{\"query_id\":{},\"compressed\":{},\"total_ns\":{},\
              \"pages_read\":{},\"decrypts\":{},\"merkle_nodes\":{},\"rows\":{},\"result_digest\":\"{}\"}}{}\n",
             c.query_id,
-            c.vectorized,
             c.compressed,
             c.total_ns,
             c.pages_read,
@@ -246,30 +163,9 @@ pub fn vectors_invariants_json(
     s
 }
 
-/// The full `BENCH_8.json` snapshot: the deterministic invariants block
-/// plus the (run-dependent) wall-clock section.
-pub fn vectors_json(
-    sf: f64,
-    cells: &[VectorCell],
-    dividends: &[CompressionDividend],
-    wallclock: &[VectorWallclock],
-) -> String {
-    let mut s = String::from("{\n");
-    s.push_str(&vectors_invariants_json(sf, cells, dividends));
-    s.push_str(",\n  \"wallclock\": [\n");
-    for (i, w) in wallclock.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"query_id\":{},\"runs\":{},\"scalar_ms\":{:.3},\"vector_ms\":{:.3},\"speedup\":{:.2}}}{}\n",
-            w.query_id,
-            w.runs,
-            w.scalar_ms,
-            w.vector_ms,
-            w.speedup,
-            if i + 1 == wallclock.len() { "" } else { "," }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
+/// The full `BENCH_8.json` snapshot: the invariants block, wrapped.
+pub fn vectors_json(sf: f64, cells: &[VectorCell], dividends: &[CompressionDividend]) -> String {
+    format!("{{\n{}\n}}\n", vectors_invariants_json(sf, cells, dividends))
 }
 
 #[cfg(test)]
@@ -284,14 +180,7 @@ mod tests {
         let a = vectors_invariants_json(VECTORS_SF, &cells_a, &div_a);
         let b = vectors_invariants_json(VECTORS_SF, &cells_b, &div_b);
         assert_eq!(a, b, "invariants block must be byte-deterministic");
-        let wall = vec![VectorWallclock {
-            query_id: 6,
-            runs: 1,
-            scalar_ms: 2.0,
-            vector_ms: 1.0,
-            speedup: 2.0,
-        }];
-        let full = vectors_json(VECTORS_SF, &cells_a, &div_a, &wall);
+        let full = vectors_json(VECTORS_SF, &cells_a, &div_a);
         assert!(looks_like_valid_json(&full), "{full}");
         assert!(full.contains(&a), "snapshot must embed the invariants block verbatim");
     }

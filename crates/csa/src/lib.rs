@@ -38,7 +38,7 @@ pub use net::SecureChannel;
 pub use profile::{CostTerm, Placement, PlanProfile, ProfileExtras, QueryProfile, ReplanEvent};
 pub use shared::{RecoveryReport, SharedCsaSystem};
 pub use partition::{partition_select, OffloadDecision, Partition, StorageQuery};
-pub use system::{CsaSystem, PartitionStrategy, QueryReport, SystemConfig};
+pub use system::{CsaSystem, PlacementPolicy, QueryReport, SystemConfig};
 
 /// Errors raised by the CSA layer.
 #[derive(Debug)]

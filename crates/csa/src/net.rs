@@ -167,7 +167,19 @@ impl SecureChannel {
             return Err(CsaError::Channel("short row batch"));
         }
         let ncols = u32::from_be_bytes(plain[0..4].try_into().expect("4")) as usize;
-        let nrows = u64::from_be_bytes(plain[4..12].try_into().expect("8")) as usize;
+        let nrows = u64::from_be_bytes(plain[4..12].try_into().expect("8"));
+        // The header is peer-controlled: check it against the payload
+        // before it sizes any allocation. Every encoded value takes at
+        // least one byte, so a batch can never hold more values than the
+        // bytes left after the header.
+        if ncols == 0 && nrows > 0 {
+            return Err(CsaError::Channel("row batch has rows but no columns"));
+        }
+        let values = usize::try_from(nrows).ok().and_then(|n| n.checked_mul(ncols));
+        if values.is_none_or(|v| v > plain.len() - 12) {
+            return Err(CsaError::Channel("row batch header exceeds its payload"));
+        }
+        let nrows = nrows as usize;
         let mut pos = 12;
         let mut rows = Vec::with_capacity(nrows);
         for _ in 0..nrows {
@@ -324,6 +336,42 @@ mod tests {
         // open() succeeded before framing failed, so seq advanced — the
         // record authenticated; only the framing above it was bad.
         assert_eq!(rx.expect_seq(), 1);
+    }
+
+    /// Seal `header` followed by `body` with the real session key, so the
+    /// record authenticates and only the row framing is hostile.
+    fn open_forged(ncols: u32, nrows: u64, body: &[u8]) -> Result<Vec<Row>> {
+        let (mut tx, mut rx) = channel_pair(&[5; 32]);
+        let mut plain = ncols.to_be_bytes().to_vec();
+        plain.extend_from_slice(&nrows.to_be_bytes());
+        plain.extend_from_slice(body);
+        let rec = tx.seal(&plain);
+        rx.open_rows(&rec)
+    }
+
+    #[test]
+    fn hostile_row_batch_headers_are_typed_errors() {
+        let overflow = "row batch header exceeds its payload";
+        for (ncols, nrows, body, want) in [
+            // nrows × ncols overflows usize: would panic in with_capacity.
+            (u32::MAX, u64::MAX, &[][..], overflow),
+            (2, u64::MAX / 2 + 1, &[][..], overflow),
+            // Huge but representable: would try to allocate terabytes.
+            (1, 1 << 40, &[0u8; 8][..], overflow),
+            (u32::MAX, 1, &[0u8; 64][..], overflow),
+            // One value more than the payload has bytes.
+            (3, 3, &[0u8; 8][..], overflow),
+            // Zero-width rows would loop `nrows` times on no input.
+            (0, u64::MAX, &[][..], "row batch has rows but no columns"),
+            (0, 1, &[][..], "row batch has rows but no columns"),
+        ] {
+            match open_forged(ncols, nrows, body) {
+                Err(CsaError::Channel(m)) => assert_eq!(m, want, "{ncols}x{nrows}"),
+                other => panic!("{ncols}x{nrows}: expected a channel error, got {other:?}"),
+            }
+        }
+        // A zero-row batch of any width is still a valid empty batch.
+        assert!(open_forged(u32::MAX, 0, &[]).unwrap().is_empty());
     }
 
     #[test]

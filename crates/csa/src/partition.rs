@@ -11,6 +11,13 @@
 //! * each fragment projects only the columns the rest of the query needs;
 //! * the host statement keeps the original shape, minus the pushed-down
 //!   conjuncts, reading from same-named temp tables.
+//!
+//! A per-table `decide` callback may decline the pushdown
+//! ([`OffloadDecision::ShipPages`]): that table's conjuncts return to the
+//! host, and the runner ships its raw pages instead. This is the hook
+//! behind cost-based placement — the paper's §8 future work: "a compiler
+//! that automatically partitions queries between the host and storage
+//! systems".
 
 use ironsafe_sql::ast::{Expr, SelectItem, SelectStmt, TableRef};
 use ironsafe_sql::plan::{join_conjuncts, split_conjuncts};
@@ -68,10 +75,14 @@ fn fully_resolvable(expr: &Expr, schema: &Schema) -> bool {
 
 /// Partition `stmt`. `lookup` resolves *storage-resident* base tables to
 /// their schemas; FROM entries it does not know (e.g. temp tables from an
-/// earlier stage) stay host-local.
+/// earlier stage) stay host-local. `decide` sees each table's pushdown
+/// fragment, in FROM order; tables it answers
+/// [`OffloadDecision::ShipPages`] keep their predicates on the host (after
+/// the residual conjuncts) and their fragment carries no pushdown.
 pub fn partition_select(
     stmt: &SelectStmt,
     lookup: &dyn Fn(&str) -> Option<Schema>,
+    decide: &dyn Fn(&str, &SelectStmt) -> OffloadDecision,
 ) -> Partition {
     let mut conjuncts = Vec::new();
     if let Some(w) = &stmt.where_clause {
@@ -81,6 +92,7 @@ pub fn partition_select(
     let all_columns = columns_of(stmt);
     let mut storage = Vec::new();
     let mut pushed = vec![false; conjuncts.len()];
+    let mut declined: Vec<Expr> = Vec::new();
 
     for tref in &stmt.from {
         let Some(schema) = lookup(&tref.name) else { continue };
@@ -112,7 +124,7 @@ pub fn partition_select(
                 pushed[i] = true;
             }
         }
-        let fragment = SelectStmt {
+        let mut fragment = SelectStmt {
             projections: needed
                 .iter()
                 .map(|c| SelectItem::Expr { expr: Expr::Column(c.clone()), alias: None })
@@ -124,12 +136,14 @@ pub fn partition_select(
             order_by: Vec::new(),
             limit: None,
         };
-        storage.push(StorageQuery {
-            table: tref.name.clone(),
-            stmt: fragment,
-            columns: needed,
-            mode: OffloadDecision::Offload,
-        });
+        let mode = decide(&tref.name, &fragment);
+        if mode == OffloadDecision::ShipPages {
+            // Take the pushed conjuncts back to the host.
+            if let Some(w) = fragment.where_clause.take() {
+                split_conjuncts(&w, &mut declined);
+            }
+        }
+        storage.push(StorageQuery { table: tref.name.clone(), stmt: fragment, columns: needed, mode });
     }
 
     // Host statement: original minus pushed-down conjuncts.
@@ -138,6 +152,7 @@ pub fn partition_select(
         .zip(pushed.iter())
         .filter(|(_, p)| !**p)
         .map(|(c, _)| c)
+        .chain(declined)
         .collect();
     let mut host = stmt.clone();
     host.where_clause = join_conjuncts(residual);
@@ -177,10 +192,14 @@ mod tests {
         }
     }
 
+    fn offload(_: &str, _: &SelectStmt) -> OffloadDecision {
+        OffloadDecision::Offload
+    }
+
     #[test]
     fn single_table_filter_pushed_down() {
         let stmt = select("SELECT SUM(l_extendedprice) FROM lineitem WHERE l_shipdate < '1995-01-01'");
-        let p = partition_select(&stmt, &lookup);
+        let p = partition_select(&stmt, &lookup, &offload);
         assert_eq!(p.storage.len(), 1);
         let frag = &p.storage[0];
         assert_eq!(frag.table, "lineitem");
@@ -197,7 +216,7 @@ mod tests {
             "SELECT o_totalprice FROM lineitem, orders \
              WHERE l_orderkey = o_orderkey AND l_quantity > 30 AND o_orderdate < '1996-01-01'",
         );
-        let p = partition_select(&stmt, &lookup);
+        let p = partition_select(&stmt, &lookup, &offload);
         assert_eq!(p.storage.len(), 2);
         let li = p.storage.iter().find(|s| s.table == "lineitem").unwrap();
         let w = expr_to_sql(li.stmt.where_clause.as_ref().unwrap());
@@ -211,7 +230,7 @@ mod tests {
     #[test]
     fn unknown_tables_stay_host_local() {
         let stmt = select("SELECT o_totalprice FROM temp_results, orders WHERE big_okey = o_orderkey");
-        let p = partition_select(&stmt, &lookup);
+        let p = partition_select(&stmt, &lookup, &offload);
         assert_eq!(p.storage.len(), 1);
         assert_eq!(p.storage[0].table, "orders");
     }
@@ -219,7 +238,7 @@ mod tests {
     #[test]
     fn no_filter_means_full_shipping_fragment() {
         let stmt = select("SELECT COUNT(*) FROM lineitem GROUP BY l_orderkey");
-        let p = partition_select(&stmt, &lookup);
+        let p = partition_select(&stmt, &lookup, &offload);
         let frag = &p.storage[0];
         assert!(frag.stmt.where_clause.is_none());
         assert_eq!(frag.columns, vec!["l_orderkey"]);
@@ -228,7 +247,7 @@ mod tests {
     #[test]
     fn or_predicate_on_one_table_is_pushed() {
         let stmt = select("SELECT l_quantity FROM lineitem WHERE l_quantity < 5 OR l_quantity > 45");
-        let p = partition_select(&stmt, &lookup);
+        let p = partition_select(&stmt, &lookup, &offload);
         assert!(p.storage[0].stmt.where_clause.is_some());
         assert!(p.host.where_clause.is_none());
     }
@@ -240,7 +259,7 @@ mod tests {
              WHERE l_orderkey = o_orderkey AND l_shipdate > '1995-03-15' \
              GROUP BY l_orderkey ORDER BY l_orderkey LIMIT 10",
         );
-        let p = partition_select(&stmt, &lookup);
+        let p = partition_select(&stmt, &lookup, &offload);
         for frag in &p.storage {
             // Fragments must be parseable when rendered (they are shipped
             // as SQL text to the storage engine).
@@ -306,55 +325,13 @@ pub fn render_select(stmt: &SelectStmt) -> String {
     sql
 }
 
-/// Per-table offload decision for [`partition_select_strategic`].
+/// Per-table offload decision for [`partition_select`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OffloadDecision {
     /// Push the table's filters + projection to the storage engine.
     Offload,
     /// Ship the table's raw pages; the host applies the filters.
     ShipPages,
-}
-
-/// Like [`partition_select`], but consults `decide` per table: tables the
-/// callback declines keep their predicates on the host and their fragment
-/// carries no pushdown (the runner ships raw pages instead).
-///
-/// This is the hook behind the *adaptive* partitioner — the paper's §8
-/// future work: "a compiler that automatically partitions queries between
-/// the host and storage systems".
-pub fn partition_select_strategic(
-    stmt: &SelectStmt,
-    lookup: &dyn Fn(&str) -> Option<Schema>,
-    decide: &dyn Fn(&str, &SelectStmt) -> OffloadDecision,
-) -> Partition {
-    let base = partition_select(stmt, lookup);
-    let mut declined_preds: Vec<Expr> = Vec::new();
-    let storage = base
-        .storage
-        .into_iter()
-        .map(|mut frag| {
-            if decide(&frag.table, &frag.stmt) == OffloadDecision::ShipPages {
-                frag.mode = OffloadDecision::ShipPages;
-                // Take the pushed conjuncts back to the host.
-                if let Some(w) = frag.stmt.where_clause.take() {
-                    let mut cs = Vec::new();
-                    split_conjuncts(&w, &mut cs);
-                    declined_preds.extend(cs);
-                }
-            }
-            frag
-        })
-        .collect();
-    let mut host = base.host;
-    if !declined_preds.is_empty() {
-        let mut cs = Vec::new();
-        if let Some(w) = host.where_clause.take() {
-            split_conjuncts(&w, &mut cs);
-        }
-        cs.extend(declined_preds);
-        host.where_clause = join_conjuncts(cs);
-    }
-    Partition { storage, host }
 }
 
 #[cfg(test)]
@@ -392,7 +369,7 @@ mod strategic_tests {
             "SELECT COUNT(*) FROM lineitem, orders \
              WHERE l_orderkey = o_orderkey AND l_quantity < 10 AND o_comment LIKE '%x%'",
         );
-        let p = partition_select_strategic(&stmt, &lookup, &|table, _| {
+        let p = partition_select(&stmt, &lookup, &|table, _| {
             if table == "orders" {
                 OffloadDecision::ShipPages // weak filter: don't push
             } else {
@@ -410,10 +387,19 @@ mod strategic_tests {
 
     #[test]
     fn all_offload_matches_static_partitioner() {
-        let stmt = select("SELECT l_quantity FROM lineitem WHERE l_quantity < 10");
-        let a = partition_select(&stmt, &lookup);
-        let b = partition_select_strategic(&stmt, &lookup, &|_, _| OffloadDecision::Offload);
-        assert_eq!(a.storage[0].stmt, b.storage[0].stmt);
-        assert_eq!(a.host.where_clause, b.host.where_clause);
+        // Offloading every table is the paper's static heuristic: each
+        // single-table conjunct is pushed, the host keeps only the join.
+        let stmt = select(
+            "SELECT COUNT(*) FROM lineitem, orders \
+             WHERE l_orderkey = o_orderkey AND l_quantity < 10 AND o_comment LIKE '%x%'",
+        );
+        let p = partition_select(&stmt, &lookup, &|_, _| OffloadDecision::Offload);
+        for frag in &p.storage {
+            assert_eq!(frag.mode, OffloadDecision::Offload, "{}", frag.table);
+            assert!(frag.stmt.where_clause.is_some(), "{} filter pushed", frag.table);
+        }
+        let host_w = expr_to_sql(p.host.where_clause.as_ref().unwrap());
+        assert!(host_w.contains("l_orderkey = o_orderkey"), "{host_w}");
+        assert!(!host_w.contains("l_quantity") && !host_w.contains("o_comment"), "{host_w}");
     }
 }

@@ -14,7 +14,7 @@ use crate::adaptive::{
 use crate::cost::{CostBreakdown, CostParams};
 use crate::net::channel_pair;
 use crate::profile::{CostTerm, Placement, PlanProfile, ProfileExtras, QueryProfile, ReplanEvent};
-use crate::partition::{partition_select, partition_select_strategic, OffloadDecision, Partition, StorageQuery};
+use crate::partition::{partition_select, OffloadDecision, Partition, StorageQuery};
 use crate::Result;
 use ironsafe_crypto::group::Group;
 use ironsafe_sql::ast::{expr_to_sql, SelectItem, SelectStmt, Statement};
@@ -113,21 +113,26 @@ impl QueryReport {
     }
 }
 
-/// How split configurations decide per-table offloading.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PartitionStrategy {
-    /// Always push filters + projection down (the paper's heuristic).
-    #[default]
-    Static,
-    /// Never push down: every fragment ships raw pages and the host
-    /// applies the filter itself (the all-host static baseline).
-    AllHost,
+/// How split configurations place each table's filter fragment.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PlacementPolicy {
+    /// Apply one decision to every fragment: [`OffloadDecision::Offload`]
+    /// pushes filters + projection down (the paper's static heuristic,
+    /// and the default); [`OffloadDecision::ShipPages`] ships raw pages
+    /// and lets the host apply the filter (the all-host baseline).
+    Pinned(OffloadDecision),
     /// Cost-based per-fragment placement: evaluate the offload and
     /// ship-pages alternatives under [`CostParams`] with selectivity
     /// estimates from the [`AdaptiveState`] EWMA store (seeded from
     /// predicate-shape priors) and the live EPC occupancy — the paper's
     /// §8 future work, implemented.
-    Adaptive,
+    CostBased,
+}
+
+impl Default for PlacementPolicy {
+    fn default() -> Self {
+        PlacementPolicy::Pinned(OffloadDecision::Offload)
+    }
 }
 
 /// A host+storage deployment in one configuration.
@@ -136,8 +141,8 @@ pub struct CsaSystem {
     pub config: SystemConfig,
     /// Cost-model parameters.
     pub params: CostParams,
-    /// Offloading strategy for split configurations.
-    pub strategy: PartitionStrategy,
+    /// Fragment placement for split configurations.
+    pub placement: PlacementPolicy,
     storage_db: Database,
     session_key: [u8; 32],
     last_trace: Option<TraceSnapshot>,
@@ -167,14 +172,11 @@ pub struct CsaSystem {
     adaptive: Arc<Mutex<AdaptiveState>>,
     /// Live `plan.*` counters (decisions, refinements, re-plans).
     plan_metrics: PlanMetrics,
-    /// When set, the adaptive strategy skips the cost rule and applies
-    /// this decision to every fragment (the golden-parity guard).
-    pinned_decision: Option<OffloadDecision>,
     /// Mid-flight re-planning policy (`None` = disabled).
     replan: Option<ReplanPolicy>,
     /// Simulated background enclave working set (pages) held resident by
     /// concurrent tenants; 0 = calm EPC. Applied identically under every
-    /// strategy — pressure is environment, not policy.
+    /// placement — pressure is environment, not policy.
     epc_pressure_pages: u64,
 }
 
@@ -245,25 +247,7 @@ impl CsaSystem {
         // The flight recorder is TEE-resident too: its ring capacity is
         // derived from the same enclave memory budget.
         storage_db.pager().lock().set_flight_budget(params.epc_limit_bytes as u64);
-        Ok(CsaSystem {
-            config,
-            params,
-            strategy: PartitionStrategy::default(),
-            storage_db,
-            session_key: [0x5e; 32],
-            last_trace: None,
-            last_plans: Vec::new(),
-            last_extras: ProfileExtras::default(),
-            read_cache: Arc::new(PageCache::new()),
-            exec: ExecOptions::serial(),
-            fault_plan: FaultPlan::none(),
-            retry: RetryPolicy::default(),
-            adaptive: Arc::new(Mutex::new(AdaptiveState::new())),
-            plan_metrics: PlanMetrics::new(),
-            pinned_decision: None,
-            replan: None,
-            epc_pressure_pages: 0,
-        })
+        Ok(Self::from_database(config, storage_db, params))
     }
 
     /// Build over an already-populated database (e.g. the GDPR workload).
@@ -271,7 +255,7 @@ impl CsaSystem {
         CsaSystem {
             config,
             params,
-            strategy: PartitionStrategy::default(),
+            placement: PlacementPolicy::default(),
             storage_db,
             session_key: [0x5e; 32],
             last_trace: None,
@@ -283,7 +267,6 @@ impl CsaSystem {
             retry: RetryPolicy::default(),
             adaptive: Arc::new(Mutex::new(AdaptiveState::new())),
             plan_metrics: PlanMetrics::new(),
-            pinned_decision: None,
             replan: None,
             epc_pressure_pages: 0,
         }
@@ -304,13 +287,18 @@ impl CsaSystem {
     /// [`SharedCsaSystem`](crate::SharedCsaSystem)).
     pub fn read_view(&self) -> CsaSystem {
         let pager = ViewPager::over(self.storage_db.pager().clone(), self.read_cache.clone());
-        let storage_db =
-            Database::from_parts(ironsafe_sql::heap::shared(pager), self.storage_db.catalog().clone());
+        self.view(pager, self.storage_db.catalog().clone())
+    }
+
+    /// A view of this system over `pager` and `catalog`: same
+    /// configuration, options, session key and shared planner state, with
+    /// fresh per-run records.
+    fn view(&self, pager: ViewPager, catalog: Catalog) -> CsaSystem {
         CsaSystem {
             config: self.config,
             params: self.params.clone(),
-            strategy: self.strategy,
-            storage_db,
+            placement: self.placement,
+            storage_db: Database::from_parts(ironsafe_sql::heap::shared(pager), catalog),
             session_key: self.session_key,
             last_trace: None,
             last_plans: Vec::new(),
@@ -321,7 +309,6 @@ impl CsaSystem {
             retry: self.retry,
             adaptive: self.adaptive.clone(),
             plan_metrics: self.plan_metrics.clone(),
-            pinned_decision: self.pinned_decision,
             replan: self.replan,
             epc_pressure_pages: self.epc_pressure_pages,
         }
@@ -338,26 +325,7 @@ impl CsaSystem {
     pub fn read_view_at(&self, pin: SnapshotPin, catalog: Catalog) -> CsaSystem {
         let pager =
             ViewPager::over_pinned(self.storage_db.pager().clone(), self.read_cache.clone(), pin);
-        let storage_db = Database::from_parts(ironsafe_sql::heap::shared(pager), catalog);
-        CsaSystem {
-            config: self.config,
-            params: self.params.clone(),
-            strategy: self.strategy,
-            storage_db,
-            session_key: self.session_key,
-            last_trace: None,
-            last_plans: Vec::new(),
-            last_extras: ProfileExtras::default(),
-            read_cache: self.read_cache.clone(),
-            exec: self.exec.clone(),
-            fault_plan: self.fault_plan.clone(),
-            retry: self.retry,
-            adaptive: self.adaptive.clone(),
-            plan_metrics: self.plan_metrics.clone(),
-            pinned_decision: self.pinned_decision,
-            replan: self.replan,
-            epc_pressure_pages: self.epc_pressure_pages,
-        }
+        self.view(pager, catalog)
     }
 
     /// Open a *writer* view: a copy-on-write view whose reads additionally
@@ -372,26 +340,7 @@ impl CsaSystem {
             self.read_cache.clone(),
             pending,
         );
-        let storage_db = Database::from_parts(ironsafe_sql::heap::shared(pager), catalog);
-        CsaSystem {
-            config: self.config,
-            params: self.params.clone(),
-            strategy: self.strategy,
-            storage_db,
-            session_key: self.session_key,
-            last_trace: None,
-            last_plans: Vec::new(),
-            last_extras: ProfileExtras::default(),
-            read_cache: self.read_cache.clone(),
-            exec: self.exec.clone(),
-            fault_plan: self.fault_plan.clone(),
-            retry: self.retry,
-            adaptive: self.adaptive.clone(),
-            plan_metrics: self.plan_metrics.clone(),
-            pinned_decision: self.pinned_decision,
-            replan: self.replan,
-            epc_pressure_pages: self.epc_pressure_pages,
-        }
+        self.view(pager, catalog)
     }
 
     /// The shared decrypted-page cache (the serving layer clears it when
@@ -544,15 +493,6 @@ impl CsaSystem {
         self.exec.dop = ironsafe_sql::exec::Dop::new(dop);
     }
 
-    /// Switch vectorized (column-batch) execution on or off for
-    /// read-only query fragments.
-    ///
-    /// Like DOP, vectorization buys wall-clock only: rows, breakdowns
-    /// and pager-stats deltas stay bit-identical to scalar execution.
-    pub fn set_vectorized(&mut self, on: bool) {
-        self.exec.vectorized = on;
-    }
-
     /// Current morsel-execution options.
     pub fn exec_options(&self) -> &ExecOptions {
         &self.exec
@@ -565,9 +505,12 @@ impl CsaSystem {
         self.exec.metrics.register(registry);
     }
 
-    /// Select the partitioning strategy used by split configurations.
-    pub fn set_partition_strategy(&mut self, strategy: PartitionStrategy) {
-        self.strategy = strategy;
+    /// Select how split configurations place their filter fragments.
+    /// A pinned placement must reproduce the matching static plan
+    /// bit-identically, whatever cost-based runs came before — the
+    /// golden-parity guard asserts exactly this.
+    pub fn set_placement(&mut self, placement: PlacementPolicy) {
+        self.placement = placement;
     }
 
     /// Handle on the shared selectivity-estimate store (survives across
@@ -583,14 +526,6 @@ impl CsaSystem {
         self.adaptive.lock().pin_table(table, est);
     }
 
-    /// Pin the adaptive strategy to a fixed decision for every fragment
-    /// (`None` restores cost-based choice). With a pin in place the
-    /// adaptive path must reproduce the corresponding static plan
-    /// bit-identically — the golden-parity guard asserts exactly this.
-    pub fn pin_adaptive(&mut self, decision: Option<OffloadDecision>) {
-        self.pinned_decision = decision;
-    }
-
     /// Enable (`Some`) or disable (`None`, the default) mid-flight
     /// re-planning for adaptive offloaded fragments.
     pub fn set_replan(&mut self, policy: Option<ReplanPolicy>) {
@@ -599,7 +534,7 @@ impl CsaSystem {
 
     /// Simulate background EPC pressure: `pages` enclave pages held
     /// resident by concurrent tenants for the whole run. Applied under
-    /// every strategy (pressure is environment, not policy); 0 disables.
+    /// every placement (pressure is environment, not policy); 0 disables.
     pub fn set_epc_pressure(&mut self, pages: u64) {
         self.epc_pressure_pages = pages;
     }
@@ -969,7 +904,7 @@ impl CsaSystem {
             if secure && self.epc_pressure_pages > 0 {
                 // Concurrent tenants hold a resident working set before
                 // the query's first temp page lands. Applied under every
-                // strategy: pressure is environment, not policy.
+                // placement: pressure is environment, not policy.
                 epc.preload_background(self.epc_pressure_pages);
             }
             let (mut tx, mut rx) = channel_pair(&self.session_key);
@@ -1001,53 +936,41 @@ impl CsaSystem {
                     self.storage_db.catalog().table(name).ok().map(|t| t.schema.clone())
                 };
                 let host_ops_est = complexity(&sel);
-                let adaptive_live = self.strategy == PartitionStrategy::Adaptive
-                    && self.pinned_decision.is_none();
-                let Partition { storage, host } = match self.strategy {
-                    PartitionStrategy::Static => partition_select(&sel, &catalog_lookup),
-                    PartitionStrategy::AllHost => {
-                        partition_select_strategic(&sel, &catalog_lookup, &|_, _| {
-                            OffloadDecision::ShipPages
+                let adaptive_live = self.placement == PlacementPolicy::CostBased;
+                let Partition { storage, host } = match self.placement {
+                    PlacementPolicy::Pinned(pin) => {
+                        partition_select(&sel, &catalog_lookup, &|_, _| pin)
+                    }
+                    PlacementPolicy::CostBased => {
+                        let state = self.adaptive.lock();
+                        // Occupancy at planning time: background
+                        // pressure plus earlier stages' temp pages — so
+                        // later stages adapt to a filling EPC.
+                        let view = EpcView {
+                            occupied_pages: epc.resident_pages() as u64,
+                            capacity_pages: epc.capacity_pages() as u64,
+                        };
+                        let db = &self.storage_db;
+                        let metrics = &self.plan_metrics;
+                        partition_select(&sel, &catalog_lookup, &|table, frag| {
+                            let Ok(info) = db.catalog().table(table) else {
+                                return OffloadDecision::Offload;
+                            };
+                            let shape = TableShape {
+                                rows: info.heap.row_count,
+                                pages: info.heap.pages.len() as u64,
+                                cols: info.schema.len(),
+                            };
+                            let f =
+                                fragment_stats(&state, table, frag, shape, host_ops_est, secure);
+                            let (decision, _, _) = choose(&f, &view, &p);
+                            match decision {
+                                OffloadDecision::Offload => metrics.decide_offload.inc(),
+                                OffloadDecision::ShipPages => metrics.decide_ship_pages.inc(),
+                            }
+                            decision
                         })
                     }
-                    PartitionStrategy::Adaptive => match self.pinned_decision {
-                        Some(pin) => {
-                            partition_select_strategic(&sel, &catalog_lookup, &|_, _| pin)
-                        }
-                        None => {
-                            let state = self.adaptive.lock();
-                            // Occupancy at planning time: background
-                            // pressure plus earlier stages' temp pages —
-                            // so later stages adapt to a filling EPC.
-                            let view = EpcView {
-                                occupied_pages: epc.resident_pages() as u64,
-                                capacity_pages: epc.capacity_pages() as u64,
-                            };
-                            let db = &self.storage_db;
-                            let metrics = &self.plan_metrics;
-                            partition_select_strategic(&sel, &catalog_lookup, &|table, frag| {
-                                let Ok(info) = db.catalog().table(table) else {
-                                    return OffloadDecision::Offload;
-                                };
-                                let shape = TableShape {
-                                    rows: info.heap.row_count,
-                                    pages: info.heap.pages.len() as u64,
-                                    cols: info.schema.len(),
-                                };
-                                let f = fragment_stats(
-                                    &state, table, frag, shape, host_ops_est, secure,
-                                );
-                                let (decision, _, _) = choose(&f, &view, &p);
-                                match decision {
-                                    OffloadDecision::Offload => metrics.decide_offload.inc(),
-                                    OffloadDecision::ShipPages => {
-                                        metrics.decide_ship_pages.inc()
-                                    }
-                                }
-                                decision
-                            })
-                        }
-                    },
                 };
 
                 // Run fragments near the data, ship results.
@@ -1067,8 +990,8 @@ impl CsaSystem {
                             .selectivity
                     });
                     // Watch per-morsel row counts when this fragment may
-                    // re-plan mid-flight (forces the morsel driver, which
-                    // stays bit-identical to serial execution).
+                    // re-plan mid-flight (telemetry only: rows and stats
+                    // are unchanged).
                     let watch = (adaptive_live
                         && self.replan.is_some()
                         && *mode == OffloadDecision::Offload
@@ -1202,7 +1125,7 @@ impl CsaSystem {
                     shipped_tables.push(table.clone());
 
                     // Feedback: fold the fragment's observed statistics
-                    // into the shared EWMA store (under every strategy —
+                    // into the shared EWMA store (under every placement —
                     // static runs prime the adaptive planner too).
                     if *mode == OffloadDecision::Offload
                         && stmt.where_clause.is_some()
@@ -1541,9 +1464,11 @@ mod adaptive_tests {
         ironsafe_tpch::generate(0.002, 42)
     }
 
-    fn run_with(strategy: PartitionStrategy, qid: u8, data: &TpchData) -> QueryReport {
+    const STATIC: PlacementPolicy = PlacementPolicy::Pinned(OffloadDecision::Offload);
+
+    fn run_with(placement: PlacementPolicy, qid: u8, data: &TpchData) -> QueryReport {
         let mut sys = CsaSystem::build(SystemConfig::IronSafe, data, CostParams::default()).unwrap();
-        sys.strategy = strategy;
+        sys.set_placement(placement);
         sys.run_query(&query(qid).unwrap()).unwrap()
     }
 
@@ -1551,9 +1476,9 @@ mod adaptive_tests {
     fn adaptive_matches_static_results() {
         let d = data();
         for qid in [1u8, 3, 6, 13, 18] {
-            let a = run_with(PartitionStrategy::Static, qid, &d);
-            let b = run_with(PartitionStrategy::Adaptive, qid, &d);
-            assert_eq!(a.result, b.result, "Q{qid}: strategy must never change answers");
+            let a = run_with(STATIC, qid, &d);
+            let b = run_with(PlacementPolicy::CostBased, qid, &d);
+            assert_eq!(a.result, b.result, "Q{qid}: placement must never change answers");
         }
     }
 
@@ -1561,18 +1486,18 @@ mod adaptive_tests {
     fn adaptive_keeps_selective_pushdowns() {
         // Q6's filter is brutal: the adaptive partitioner must keep it.
         let d = data();
-        let a = run_with(PartitionStrategy::Adaptive, 6, &d);
-        let s = run_with(PartitionStrategy::Static, 6, &d);
+        let a = run_with(PlacementPolicy::CostBased, 6, &d);
+        let s = run_with(STATIC, 6, &d);
         assert_eq!(a.bytes_shipped, s.bytes_shipped, "Q6 still offloads fully");
     }
 
     #[test]
     fn adaptive_withdraws_weak_pushdowns() {
-        // Q13's NOT LIKE keeps nearly every order: the adaptive strategy
+        // Q13's NOT LIKE keeps nearly every order: the cost-based placement
         // withdraws the pushdown; the host applies the filter instead.
         let d = data();
-        let a = run_with(PartitionStrategy::Adaptive, 13, &d);
-        let s = run_with(PartitionStrategy::Static, 13, &d);
+        let a = run_with(PlacementPolicy::CostBased, 13, &d);
+        let s = run_with(STATIC, 13, &d);
         assert!(
             a.rows_shipped >= s.rows_shipped,
             "withdrawn pushdown ships at least as many rows ({} vs {})",

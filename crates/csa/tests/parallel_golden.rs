@@ -62,18 +62,49 @@ fn dop4_matches_dop1_for_all_configs() {
 }
 
 #[test]
-fn morsel_counters_tick_only_under_parallel_runs() {
+fn morsel_counters_tick_at_every_dop() {
+    // Every scan without LIMIT reads through the morsel pool, DOP 1
+    // included: one scan per fragment, the same morsels and rows at
+    // any DOP.
     let data = ironsafe_tpch::generate(0.002, 42);
     let q = query(6).unwrap();
+    let mut seen = Vec::new();
+    for dop in [1usize, 4] {
+        let mut sys =
+            CsaSystem::build(SystemConfig::IronSafe, &data, CostParams::default()).unwrap();
+        sys.set_dop(dop);
+        sys.run_query(&q).unwrap();
+        let m = &sys.exec_options().metrics;
+        assert!(m.scans.get() > 0, "dop {dop}: run dispatched no scans");
+        assert!(m.morsels.get() > 0, "dop {dop}: run claimed no morsels");
+        assert!(m.rows.get() > 0, "dop {dop}: run decoded no rows");
+        seen.push((m.scans.get(), m.morsels.get(), m.rows.get()));
+    }
+    assert_eq!(seen[0], seen[1], "morsel counters must not depend on DOP");
+}
 
-    let mut sys = CsaSystem::build(SystemConfig::IronSafe, &data, CostParams::default()).unwrap();
-    sys.run_query(&q).unwrap();
-    assert_eq!(sys.exec_options().metrics.rows.get(), 0, "serial runs bypass the morsel pool");
-
-    sys.set_dop(4);
-    sys.run_query(&q).unwrap();
-    let m = &sys.exec_options().metrics;
-    assert!(m.scans.get() > 0, "parallel run dispatched no scans");
-    assert!(m.morsels.get() > 0, "parallel run claimed no morsels");
-    assert!(m.rows.get() > 0, "parallel run decoded no rows");
+#[test]
+fn dop4_matches_dop1_with_the_merkle_cache_off() {
+    // Without the verified-node cache every page read must charge its
+    // own full freshness climb, however the reads happen to be batched.
+    let data = ironsafe_tpch::generate(0.002, 42);
+    for config in SystemConfig::all().into_iter().filter(SystemConfig::secure) {
+        for qid in [1u8, 6] {
+            let q = query(qid).unwrap();
+            let run = |dop: usize| {
+                let mut sys = CsaSystem::build(config, &data, CostParams::default()).unwrap();
+                sys.storage_db().pager().lock().set_merkle_cache_enabled(false);
+                sys.set_dop(dop);
+                let before = sys.storage_db().pager_stats();
+                let report = sys.run_query(&q).unwrap();
+                (report, stats_delta(before, sys.storage_db().pager_stats()))
+            };
+            let (serial, serial_delta) = run(1);
+            let (parallel, parallel_delta) = run(4);
+            let tag = format!("{} q{qid} (cache off)", config.abbrev());
+            assert_eq!(parallel.result, serial.result, "{tag}: rows");
+            assert_eq!(parallel.breakdown, serial.breakdown, "{tag}: breakdown");
+            assert_eq!(parallel_delta, serial_delta, "{tag}: pager-stats delta");
+        }
+    }
 }

@@ -7,7 +7,7 @@
 //! ones a plain `run_query` produces on an identically-prepared system.
 //! Profiling is observation, not perturbation.
 
-use ironsafe_csa::{CostParams, CsaSystem, OffloadDecision, PartitionStrategy, SystemConfig};
+use ironsafe_csa::{CostParams, CsaSystem, OffloadDecision, PlacementPolicy, SystemConfig};
 use ironsafe_obs::export::looks_like_valid_json;
 use ironsafe_tpch::queries::query;
 use ironsafe_tpch::TpchData;
@@ -123,27 +123,32 @@ fn profile_json_and_render_are_deterministic() {
     assert!(text_a.contains("rows out="));
 }
 
-/// Golden-parity guard for the adaptive planner: with the decision
-/// pinned (adaptivity disabled), the adaptive strategy must reproduce
-/// the corresponding static plan *bit-identically* — breakdown, pager
-/// delta, shipped counters, rows. Adaptivity is a planning change, never
-/// an execution change.
+/// Golden-parity guard for the placement switch: a pinned placement
+/// reproduces the matching static plan *bit-identically* — breakdown,
+/// pager delta, shipped counters, rows — even on a system whose
+/// cost-based planner already ran (and refined its estimates). Adaptivity
+/// is a planning change, never an execution change, and leaves nothing
+/// behind that a pinned plan could observe.
 #[test]
 fn pinned_adaptive_reproduces_static_plans_bit_identically() {
     let d = data();
     for config in [SystemConfig::VanillaCs, SystemConfig::IronSafe] {
         for dop in [1usize, 4] {
-            for (pin, baseline) in [
-                (OffloadDecision::Offload, PartitionStrategy::Static),
-                (OffloadDecision::ShipPages, PartitionStrategy::AllHost),
-            ] {
+            for pin in [OffloadDecision::Offload, OffloadDecision::ShipPages] {
                 let mut want_sys = CsaSystem::build(config, &d, CostParams::default()).unwrap();
-                want_sys.set_partition_strategy(baseline);
+                want_sys.set_placement(PlacementPolicy::Pinned(pin));
                 want_sys.set_dop(dop);
                 let mut got_sys = CsaSystem::build(config, &d, CostParams::default()).unwrap();
-                got_sys.set_partition_strategy(PartitionStrategy::Adaptive);
-                got_sys.pin_adaptive(Some(pin));
+                got_sys.set_placement(PlacementPolicy::CostBased);
                 got_sys.set_dop(dop);
+                for qid in [1u8, 6] {
+                    // Same warm-up schedule on both systems (Merkle
+                    // caches), but cost-based on one, pinned on the other.
+                    let q = query(qid).unwrap();
+                    want_sys.run_query(&q).unwrap();
+                    got_sys.run_query(&q).unwrap();
+                }
+                got_sys.set_placement(PlacementPolicy::Pinned(pin));
                 for qid in [1u8, 6] {
                     let q = query(qid).unwrap();
                     let before_want = want_sys.storage_db().pager_stats();
@@ -187,23 +192,22 @@ fn primed_adaptive_equals_one_static_policy_bit_identically() {
     let d = data();
     for qid in [1u8, 6] {
         let q = query(qid).unwrap();
-        let run_static = |strategy: PartitionStrategy| {
+        let run_static = |pin: OffloadDecision| {
             let mut sys =
                 CsaSystem::build(SystemConfig::IronSafe, &d, CostParams::default()).unwrap();
-            sys.set_partition_strategy(strategy);
+            sys.set_placement(PlacementPolicy::Pinned(pin));
             sys.run_query(&q).unwrap(); // warm-up run (Merkle caches)
             sys.run_query(&q).unwrap()
         };
-        let offload = run_static(PartitionStrategy::Static);
-        let allhost = run_static(PartitionStrategy::AllHost);
+        let offload = run_static(OffloadDecision::Offload);
+        let allhost = run_static(OffloadDecision::ShipPages);
         let adaptive = {
             let mut sys =
                 CsaSystem::build(SystemConfig::IronSafe, &d, CostParams::default()).unwrap();
             // Prime: a static offload run feeds exact observed statistics
             // into the shared EWMA store (same warm-up schedule as above).
-            sys.set_partition_strategy(PartitionStrategy::Static);
             sys.run_query(&q).unwrap();
-            sys.set_partition_strategy(PartitionStrategy::Adaptive);
+            sys.set_placement(PlacementPolicy::CostBased);
             sys.run_query(&q).unwrap()
         };
         let matches_offload = adaptive.breakdown == offload.breakdown

@@ -33,9 +33,9 @@ const fn m(name: &'static str, kind: &'static str, help: &'static str) -> Metric
 pub const METRIC_MANIFEST: &[MetricDef] = &[
     m("csa.net.bytes", "counter", "Bytes moved over the host↔storage secure channel"),
     m("csa.net.messages", "counter", "Sealed records sent over the secure channel"),
-    m("exec.morsel.dispatched", "counter", "Morsels claimed by parallel workers"),
+    m("exec.morsel.dispatched", "counter", "Morsels claimed by morsel workers"),
     m("exec.morsel.rows", "counter", "Rows decoded by morsel workers"),
-    m("exec.morsel.scans", "counter", "Parallel morsel scans started"),
+    m("exec.morsel.scans", "counter", "Morsel scans started"),
     m("faults.exhausted", "counter", "Operations that failed after the full retry budget"),
     m("faults.injected", "counter", "Faults the plan decided to fire"),
     m("faults.recovered", "counter", "Operations that succeeded after at least one retry"),

@@ -39,10 +39,6 @@ pub struct FederationConfig {
     pub params: CostParams,
     /// Partition-key column per table.
     pub partition_keys: HashMap<String, String>,
-    /// Run every node's read-only fragments through the vectorized
-    /// (column-batch) operators. Rows, breakdowns and summed stats stay
-    /// bit-identical to scalar execution.
-    pub vectorized: bool,
     /// Store every node's pages compressed before encrypt+MAC. Result
     /// rows are unchanged; physical page/crypto counters drop with the
     /// achieved compression ratio (honest accounting).
@@ -65,16 +61,9 @@ impl FederationConfig {
             system,
             params: CostParams::default(),
             partition_keys: tpch_partition_keys(),
-            vectorized: false,
             compressed: false,
             pushdown: PushdownDepth::default(),
         }
-    }
-
-    /// Switch vectorized execution on for every node.
-    pub fn with_vectorized(mut self, on: bool) -> Self {
-        self.vectorized = on;
-        self
     }
 
     /// Store every node's pages compressed before encrypt+MAC.

@@ -45,13 +45,15 @@ use crate::partitioner::{gid_schema, TablePartition, GID_COLUMN};
 use crate::{Result, ScaleError};
 use ironsafe_csa::cost::CostBreakdown;
 use ironsafe_csa::net::channel_pair;
-use ironsafe_csa::partition::{partition_select, render_select, Partition, StorageQuery};
+use ironsafe_csa::partition::{
+    partition_select, render_select, OffloadDecision, Partition, StorageQuery,
+};
 use ironsafe_csa::{QueryReport, SystemConfig};
 use ironsafe_faults::{FaultPlan, FaultSite};
 use ironsafe_monitor::{AuditLog, TrustedMonitor};
 use ironsafe_obs::{Span, Trace, TraceCtx, TraceSnapshot};
 use ironsafe_sql::ast::{Expr, SelectItem, SelectStmt, Statement};
-use ironsafe_sql::exec::{AggPlan, Dop, ExecOptions};
+use ironsafe_sql::exec::{AggPlan, ExecOptions};
 use ironsafe_sql::schema::{Row, Schema};
 use ironsafe_sql::value::Value;
 use ironsafe_sql::{Database, QueryResult};
@@ -350,9 +352,7 @@ impl FederatedCsaSystem {
         let _serial = self.query_lock.lock();
         let secure = self.config.system.secure();
         let shards = self.config.shards;
-        let mut exec = ExecOptions::serial();
-        exec.dop = Dop::new(dop);
-        exec.vectorized = self.config.vectorized;
+        let exec = ExecOptions::with_dop(dop);
 
         let trace = Trace::new();
         let facts = {
@@ -443,7 +443,7 @@ impl FederatedCsaSystem {
             let lookup = |name: &str| -> Option<Schema> {
                 self.schemas.iter().find(|(t, _)| t == name).map(|(_, s)| s.clone())
             };
-            let Partition { storage, host } = partition_select(&sel, &lookup);
+            let Partition { storage, host } = partition_select(&sel, &lookup, &|_, _| OffloadDecision::Offload);
 
             // Partial-aggregation pushdown: a single fragment whose host
             // statement aggregates over just that fragment's output, and
@@ -742,17 +742,11 @@ impl FederatedCsaSystem {
             Some(plan) => {
                 let rows = result.rows();
                 let mut out = Vec::with_capacity(rows.len());
-                // Both halves produce identical tuples (the sql crate's
-                // `batch_partial_matches_row_partial` pins that); the
-                // batch half evaluates each expression once per fragment
-                // instead of re-binding per row.
-                let partials: Vec<Option<Row>> = if exec.vectorized {
-                    plan.eval_partial_batch(&schema, rows).map_err(|e| e.to_string())?
-                } else {
-                    rows.iter()
-                        .map(|row| plan.eval_partial(&schema, row).map_err(|e| e.to_string()))
-                        .collect::<std::result::Result<_, _>>()?
-                };
+                // The batch half evaluates each expression once per
+                // fragment; it yields exactly `eval_partial`'s tuples (the
+                // sql crate's `batch_partial_matches_row_partial` pins that).
+                let partials =
+                    plan.eval_partial_batch(&schema, rows).map_err(|e| e.to_string())?;
                 for (row, partial) in rows.iter().zip(partials) {
                     let gid = row
                         .last()

@@ -829,6 +829,33 @@ mod explain_tests {
     }
 
     #[test]
+    fn every_scan_without_limit_plans_morsel_leaves_at_any_dop() {
+        let mut db = Database::new(PlainPager::new());
+        db.execute("CREATE TABLE t (a INT, b TEXT)").unwrap();
+        db.execute("CREATE TABLE u (c INT, d TEXT)").unwrap();
+        let plan = |sql: &str, dop: usize| {
+            let Statement::Select(sel) = crate::parser::parse_statement(sql).unwrap() else {
+                unreachable!()
+            };
+            let opts = ExecOptions::with_dop(dop);
+            crate::exec::explain(&plan_select_with(&db.catalog, &db.pager, &sel, &opts).unwrap())
+        };
+        for dop in [1, 4] {
+            let scan = plan("SELECT a FROM t WHERE b = 'x'", dop);
+            assert!(scan.contains(&format!("MorselScan (0 pages, 0 rows, dop {dop}")), "{scan}");
+            let agg = plan("SELECT b, COUNT(*) FROM t WHERE a > 1 GROUP BY b", dop);
+            let want = format!("ParallelHashAggregate: group by [b], compute [__agg0] (dop {dop})");
+            assert!(agg.contains(&want), "{agg}");
+            let join = plan("SELECT d, COUNT(*) FROM t, u WHERE a = c GROUP BY d", dop);
+            assert_eq!(join.matches("MorselScan").count(), 2, "{join}");
+            assert!(!join.contains("SeqScan"), "{join}");
+            let limited = plan("SELECT a FROM t WHERE b = 'x' LIMIT 3", dop);
+            assert!(limited.contains("SeqScan") && !limited.contains("Morsel"), "{limited}");
+        }
+        assert!(db.explain("SELECT a FROM t").unwrap().contains("MorselScan"));
+    }
+
+    #[test]
     fn explain_does_not_execute() {
         let mut db = Database::new(PlainPager::new());
         db.execute("CREATE TABLE t (a INT)").unwrap();

@@ -1,29 +1,27 @@
-//! Morsel-driven parallel scan and aggregation.
+//! Morsel-driven vectorized scan and aggregation: the read path of every
+//! base-table scan the planner emits without a `LIMIT`.
 //!
-//! The serial operators pull one row at a time through one core. For
-//! read-only plans over heap tables, this module splits the heap's page
-//! list into fixed-size **morsels**, hands them to a pool of worker
-//! threads (bounded by [`Dop`] and the machine's available
-//! parallelism), and merges per-morsel results in morsel order — which
-//! *is* page order, which *is* the serial row order.
+//! This module splits the heap's page list into fixed-size **morsels**,
+//! hands them to a pool of worker threads (bounded by [`Dop`] and the
+//! machine's available parallelism; DOP 1 runs them in order on the
+//! calling thread), and merges per-morsel results in morsel order —
+//! which *is* page order, which *is* the row order of the row-at-a-time
+//! [`SeqScan`](crate::exec::SeqScan) pipeline.
 //!
 //! Each worker claims morsels off a shared atomic cursor, batch-reads
 //! the morsel's pages through [`Pager::read_pages`] (one pager lock per
-//! morsel, pipelined decrypt + verify for secure pagers), then decodes,
-//! filters, and pre-evaluates expressions outside the lock with a reused
-//! scratch row. With [`ExecOptions::vectorized`] set, each morsel is
-//! instead decoded **once** into a column-major
-//! [`ColumnBatch`](crate::batch::ColumnBatch) and predicates/aggregate
-//! inputs run vector-at-a-time over a selection bitmap
-//! ([`crate::expr::filter_vec`] / [`crate::expr::eval_vec`]) — same
-//! rows, same stats, fewer per-row allocations and dispatches.
+//! morsel, pipelined decrypt + verify for secure pagers), then decodes
+//! the morsel **once** into a column-major
+//! [`ColumnBatch`](crate::batch::ColumnBatch) outside the lock.
+//! Predicates and aggregate inputs run vector-at-a-time over a selection
+//! bitmap ([`crate::expr::filter_vec`] / [`crate::expr::eval_vec`]).
 //!
-//! **Determinism invariant**: parallel execution buys wall-clock time
-//! only — `QueryResult` rows, `CostBreakdown`s and `PagerStats` deltas
-//! are bit-identical to serial execution at any DOP. Scans preserve row
-//! order by construction. Aggregation is the subtle part: float
-//! accumulation is not associative and group order is first-seen, so
-//! workers only *pre-evaluate* per-row expressions; a single-threaded
+//! **Determinism invariant**: `QueryResult` rows, `CostBreakdown`s and
+//! `PagerStats` deltas are bit-identical to the row-at-a-time operators
+//! at any DOP; batching and parallelism buy wall-clock time only. Scans
+//! preserve row order by construction. Aggregation is the subtle part:
+//! float accumulation is not associative and group order is first-seen,
+//! so workers only *pre-evaluate* per-row expressions; a single-threaded
 //! merge replays the exact serial [`GroupAcc`] state machine in row
 //! order. Page-level counters commute, so batched out-of-order reads
 //! leave every stats delta unchanged.
@@ -32,8 +30,8 @@ use crate::ast::Expr;
 use crate::batch::ColumnBatch;
 use crate::exec::aggregate::{agg_output_schema, AggSpec, GroupAcc};
 use crate::exec::{BoxOp, Operator};
-use crate::expr::{bind, eval_bound, eval_vec, filter_vec, BoundExpr};
-use crate::heap::{scan_page_columns, scan_page_rows, HeapFile, SharedPager};
+use crate::expr::{bind, eval_vec, filter_vec, BoundExpr};
+use crate::heap::{scan_page_columns, HeapFile, SharedPager};
 use crate::schema::{Row, Schema};
 use crate::value::Value;
 use crate::{Result, SqlError};
@@ -47,7 +45,7 @@ use std::sync::Arc;
 pub const DEFAULT_MORSEL_PAGES: usize = 16;
 
 /// Degree of parallelism for morsel execution. `Dop::new(1)` (the
-/// default) keeps every plan on the serial operators.
+/// default) runs every morsel in order on the calling thread.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Dop(usize);
 
@@ -72,7 +70,7 @@ impl Default for Dop {
 /// Live `exec.morsel.*` counters bumped by morsel workers.
 #[derive(Debug, Clone, Default)]
 pub struct ExecMetrics {
-    /// Parallel scans dispatched (`exec.morsel.scans`).
+    /// Morsel scans dispatched (`exec.morsel.scans`).
     pub scans: Counter,
     /// Morsels claimed by workers (`exec.morsel.dispatched`).
     pub morsels: Counter,
@@ -136,7 +134,7 @@ impl ScanWatch {
 /// the planner.
 #[derive(Debug, Clone)]
 pub struct ExecOptions {
-    /// Worker count; 1 selects the serial operators.
+    /// Worker count; 1 runs the morsels on the calling thread.
     pub dop: Dop,
     /// Pages per morsel.
     pub morsel_pages: usize,
@@ -147,18 +145,10 @@ pub struct ExecOptions {
     /// wall-clock time. Tests force it on to exercise cross-thread
     /// determinism regardless of the host's core count.
     pub oversubscribe: bool,
-    /// Decode morsels into column batches and evaluate predicates and
-    /// aggregate inputs vector-at-a-time ([`crate::expr::eval_vec`])
-    /// instead of row-at-a-time. Output rows, `CostBreakdown`s and
-    /// `PagerStats` deltas stay bit-identical to the scalar operators —
-    /// vectorization, like parallelism, buys wall-clock only.
-    pub vectorized: bool,
     /// Live counters shared by every scan run under these options.
     pub metrics: ExecMetrics,
     /// When set, scans record per-morsel `(rows_in, rows_out)` into the
-    /// watch. Forces the morsel driver even at DOP 1 (the serial morsel
-    /// path is bit-identical to the serial operators, so this changes
-    /// telemetry only, never rows or stats).
+    /// watch (telemetry only, never rows or stats).
     pub watch: Option<Arc<ScanWatch>>,
 }
 
@@ -168,7 +158,6 @@ impl Default for ExecOptions {
             dop: Dop::default(),
             morsel_pages: DEFAULT_MORSEL_PAGES,
             oversubscribe: false,
-            vectorized: false,
             metrics: ExecMetrics::default(),
             watch: None,
         }
@@ -184,17 +173,6 @@ impl ExecOptions {
     /// Parallel execution with `dop` workers.
     pub fn with_dop(dop: usize) -> Self {
         ExecOptions { dop: Dop::new(dop), ..Self::default() }
-    }
-
-    /// Same options with vectorized execution switched `on`.
-    pub fn with_vectorized(mut self, on: bool) -> Self {
-        self.vectorized = on;
-        self
-    }
-
-    /// True when plans should use the morsel operators.
-    pub fn parallel(&self) -> bool {
-        self.dop.get() > 1
     }
 
     /// Same options with a [`ScanWatch`] attached.
@@ -244,24 +222,26 @@ pub struct MorselSource {
     pub pred: Option<Expr>,
 }
 
-/// Run `per_row` over every row of `source` (post-predicate), folding
-/// each morsel's rows into a fresh `M`, morsels in parallel. Returns the
-/// per-morsel accumulators in morsel order — i.e. in serial row order —
-/// so callers merge without re-sorting. The first error, by morsel
-/// order, is returned. Folding into per-morsel state (rather than
-/// emitting per-row values) lets callers amortize allocations across a
-/// whole morsel.
-fn run_morsels<M, F>(source: &MorselSource, opts: &ExecOptions, per_row: F) -> Result<Vec<M>>
+/// Run `per_batch` over every morsel of `source`, morsels in parallel:
+/// each morsel's pages are decoded **once** into a column-major
+/// [`ColumnBatch`], the pushed-down predicate runs vector-at-a-time over
+/// a selection bitmap ([`filter_vec`]), and `per_batch` folds the
+/// surviving lanes into a fresh `M`. Lane order within a batch is page
+/// order, and the accumulators are returned in morsel order — i.e. in
+/// serial row order — so callers merge without re-sorting. The first
+/// error, by morsel order, is returned. `exec.morsel.rows` counts all
+/// decoded lanes, pre-filter.
+fn run_batches<M, F>(source: &MorselSource, opts: &ExecOptions, per_batch: F) -> Result<Vec<M>>
 where
     M: Default + Send,
-    F: Fn(&Row, &mut M) -> Result<()> + Sync,
+    F: Fn(&ColumnBatch, &[bool], &mut M) -> Result<()> + Sync,
 {
     let payload = source.pager.lock().payload_size();
     let ncols = source.schema.len();
     let morsels = partition_pages(source.heap.pages.len(), opts.morsel_pages);
     opts.metrics.scans.inc();
 
-    // Bind the predicate once: per-row evaluation then skips column-name
+    // Bind the predicate once: evaluation then skips column-name
     // resolution entirely (see `crate::expr::bind`).
     let pred: Option<BoundExpr> = match &source.pred {
         Some(p) => Some(bind(p, &source.schema)?),
@@ -272,130 +252,11 @@ where
     // Per-morsel kernel: one batched read under the pager lock — on a
     // secure pager the whole morsel shares a single Merkle climb
     // (`verify_batch`), so contiguous page ids also minimize freshness
-    // hashing — then decode + filter + fold outside it with a reused
-    // scratch row. Each morsel refines the ambient [`TraceCtx`] with its
-    // index and runs inside its own span; a failed morsel (fault
-    // exhaustion, violation) tags the span before it closes, so chaos
-    // traces stay well-formed trees.
-    let work = |i: usize, m: &Morsel, scratch: &mut Row| -> Result<M> {
-        let _ctx = TraceCtx::current().map(|c| c.with_morsel(i as u64).install());
-        let span = Span::enter("exec/morsel");
-        let body = |scratch: &mut Row| -> Result<M> {
-            let ids: Vec<PageId> = source.heap.pages[m.start..m.end].to_vec();
-            let mut buf = vec![0u8; ids.len() * payload];
-            source.pager.lock().read_pages(&ids, &mut buf).map_err(SqlError::from)?;
-            opts.metrics.morsels.inc();
-            let mut acc = M::default();
-            let mut rows_seen = 0u64;
-            let mut rows_kept = 0u64;
-            for page in buf.chunks_exact(payload) {
-                scan_page_rows(page, ncols, scratch, |row| {
-                    rows_seen += 1;
-                    if let Some(pred) = pred {
-                        if !eval_bound(pred, row)?.is_truthy() {
-                            return Ok(());
-                        }
-                    }
-                    rows_kept += 1;
-                    per_row(row, &mut acc)
-                })?;
-            }
-            opts.metrics.rows.add(rows_seen);
-            if let Some(watch) = &opts.watch {
-                watch.record(i, rows_seen, rows_kept);
-            }
-            Ok(acc)
-        };
-        let result = body(scratch);
-        if result.is_err() {
-            span.fail("exec.morsel.failed");
-        }
-        result
-    };
-
-    let hw = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let cap = if opts.oversubscribe { usize::MAX } else { hw };
-    let nworkers = opts.dop.get().min(morsels.len()).min(cap).max(1);
-    if nworkers <= 1 {
-        let mut scratch: Row = Vec::with_capacity(ncols);
-        let mut out = Vec::with_capacity(morsels.len());
-        for (i, m) in morsels.iter().enumerate() {
-            out.push(work(i, m, &mut scratch)?);
-        }
-        return Ok(out);
-    }
-
-    let slots: Vec<Mutex<Option<Result<M>>>> =
-        morsels.iter().map(|_| Mutex::new(None)).collect();
-    let cursor = AtomicUsize::new(0);
-    let trace = Trace::current();
-    // The trace ctx is thread-local: capture the query's ctx here and
-    // re-install it inside each worker so morsel spans stitch into the
-    // same query id across threads.
-    let ctx = TraceCtx::current();
-    crossbeam::thread::scope(|s| {
-        for w in 0..nworkers {
-            let trace = trace.clone();
-            let (slots, cursor, morsels, work) = (&slots, &cursor, &morsels, &work);
-            s.spawn(move |_| {
-                // Workers join the parent's trace so their spans land in
-                // the same timeline; they attribute no simulated time
-                // (parallelism buys wall-clock, not simulated time).
-                let _guard = trace.as_ref().map(|t| t.install());
-                let _ctx_guard = ctx.map(|c| c.install());
-                let name = format!("exec/morsel_worker{w}");
-                let _span = Span::enter(&name);
-                let mut scratch: Row = Vec::with_capacity(ncols);
-                loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= morsels.len() {
-                        break;
-                    }
-                    *slots[i].lock() = Some(work(i, &morsels[i], &mut scratch));
-                }
-            });
-        }
-    })
-    .expect("morsel workers do not panic");
-
-    let mut out = Vec::with_capacity(slots.len());
-    for slot in slots {
-        match slot.into_inner().expect("every morsel was claimed") {
-            Ok(m) => out.push(m),
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(out)
-}
-
-/// Vectorized twin of [`run_morsels`]: each morsel's pages are decoded
-/// **once** into a column-major [`ColumnBatch`], the pushed-down
-/// predicate runs vector-at-a-time over a selection bitmap
-/// ([`filter_vec`]), and `per_batch` folds the surviving lanes into a
-/// fresh `M`. Lane order within a batch is page order, and batches are
-/// returned in morsel order, so callers see serial row order exactly as
-/// with the scalar driver. Spans, trace contexts and `exec.morsel.*`
-/// counters are bumped identically to [`run_morsels`] (rows counts all
-/// decoded lanes, pre-filter).
-fn run_morsels_vec<M, F>(source: &MorselSource, opts: &ExecOptions, per_batch: F) -> Result<Vec<M>>
-where
-    M: Default + Send,
-    F: Fn(&ColumnBatch, &[bool], &mut M) -> Result<()> + Sync,
-{
-    let payload = source.pager.lock().payload_size();
-    let ncols = source.schema.len();
-    let morsels = partition_pages(source.heap.pages.len(), opts.morsel_pages);
-    opts.metrics.scans.inc();
-
-    let pred: Option<BoundExpr> = match &source.pred {
-        Some(p) => Some(bind(p, &source.schema)?),
-        None => None,
-    };
-    let pred = pred.as_ref();
-
-    // Per-morsel kernel: one batched read under the pager lock (same
-    // shared Merkle climb as the scalar driver), then a single columnar
-    // decode and one vectorized predicate pass outside it.
+    // hashing — then a single columnar decode and one vectorized
+    // predicate pass outside it. Each morsel refines the ambient
+    // [`TraceCtx`] with its index and runs inside its own span; a failed
+    // morsel (fault exhaustion, violation) tags the span before it
+    // closes, so chaos traces stay well-formed trees.
     let work = |i: usize, m: &Morsel| -> Result<M> {
         let _ctx = TraceCtx::current().map(|c| c.with_morsel(i as u64).install());
         let span = Span::enter("exec/morsel");
@@ -443,12 +304,18 @@ where
         morsels.iter().map(|_| Mutex::new(None)).collect();
     let cursor = AtomicUsize::new(0);
     let trace = Trace::current();
+    // The trace ctx is thread-local: capture the query's ctx here and
+    // re-install it inside each worker so morsel spans stitch into the
+    // same query id across threads.
     let ctx = TraceCtx::current();
     crossbeam::thread::scope(|s| {
         for w in 0..nworkers {
             let trace = trace.clone();
             let (slots, cursor, morsels, work) = (&slots, &cursor, &morsels, &work);
             s.spawn(move |_| {
+                // Workers join the parent's trace so their spans land in
+                // the same timeline; they attribute no simulated time
+                // (parallelism buys wall-clock, not simulated time).
                 let _guard = trace.as_ref().map(|t| t.install());
                 let _ctx_guard = ctx.map(|c| c.install());
                 let name = format!("exec/morsel_worker{w}");
@@ -475,7 +342,7 @@ where
     Ok(out)
 }
 
-/// Parallel sequential scan: emits exactly the rows (in exactly the
+/// Morsel sequential scan: emits exactly the rows (in exactly the
 /// order) of `SeqScan` + an optional `Filter`, using the morsel pool.
 /// Materializes on first pull.
 pub struct MorselScan {
@@ -487,7 +354,7 @@ pub struct MorselScan {
 }
 
 impl MorselScan {
-    /// Build a parallel scan over `source`.
+    /// Build a morsel scan over `source`.
     pub fn new(source: MorselSource, opts: ExecOptions) -> Self {
         MorselScan { source, opts, output: Vec::new().into_iter(), started: false, emitted: 0 }
     }
@@ -503,9 +370,8 @@ impl Operator for MorselScan {
             Some(p) => format!(", filter {}", crate::ast::expr_to_sql(p)),
             None => String::new(),
         };
-        let vect = if self.opts.vectorized { ", vectorized" } else { "" };
         format!(
-            "MorselScan ({} pages, {} rows, dop {}{vect}{pred})",
+            "MorselScan ({} pages, {} rows, dop {}{pred})",
             self.source.heap.page_count(),
             self.source.heap.row_count,
             self.opts.dop.get()
@@ -519,21 +385,15 @@ impl Operator for MorselScan {
     fn next(&mut self) -> Result<Option<Row>> {
         if !self.started {
             self.started = true;
-            let chunks = if self.opts.vectorized {
-                run_morsels_vec(&self.source, &self.opts, |batch, sel, out: &mut Vec<Row>| {
+            let chunks =
+                run_batches(&self.source, &self.opts, |batch, sel, out: &mut Vec<Row>| {
                     for (lane, live) in sel.iter().enumerate() {
                         if *live {
                             out.push(batch.owned_row(lane));
                         }
                     }
                     Ok(())
-                })?
-            } else {
-                run_morsels(&self.source, &self.opts, |row, out: &mut Vec<Row>| {
-                    out.push(row.clone());
-                    Ok(())
-                })?
-            };
+                })?;
             let mut rows = Vec::with_capacity(chunks.iter().map(Vec::len).sum());
             for mut c in chunks {
                 rows.append(&mut c);
@@ -557,7 +417,7 @@ struct TupleArena {
     vals: Vec<Value>,
 }
 
-/// Parallel hash aggregation over a single heap scan.
+/// Morsel hash aggregation over a single heap scan.
 ///
 /// Workers pre-evaluate the expensive per-row work — page decode,
 /// predicate, group-key encoding, aggregate inputs — and the merge
@@ -611,83 +471,60 @@ impl ParallelHashAggregate {
             .iter()
             .map(|spec| spec.arg.as_ref().map(|e| bind(e, schema)).transpose())
             .collect::<Result<_>>()?;
+        let ngroups = groups.len();
         // Workers: evaluate group keys and aggregate inputs into flat
-        // per-morsel arenas — scalar row-at-a-time, or vectorized with
-        // one `eval_vec` pass per expression per batch. Both fill the
-        // arena in lane order with bit-identical values, so the merge
-        // below cannot tell them apart.
-        let arenas = if self.opts.vectorized {
-            // Column refs read batch lanes directly (no intermediate
-            // vector, no text copy until the arena needs the value);
-            // computed expressions evaluate once per batch over the
-            // surviving selection.
-            enum Slot<'e> {
-                Col(usize),
-                One,
-                Expr(&'e BoundExpr),
+        // per-morsel arenas, in lane order, with one `eval_vec` pass per
+        // computed expression per batch. Column refs read batch lanes
+        // directly (no intermediate vector, no text copy until the arena
+        // needs the value).
+        enum Slot<'e> {
+            Col(usize),
+            One,
+            Expr(&'e BoundExpr),
+        }
+        let slots: Vec<Slot> = groups
+            .iter()
+            .map(|e| match e {
+                BoundExpr::Col(i) => Slot::Col(*i),
+                e => Slot::Expr(e),
+            })
+            .chain(args.iter().map(|a| match a {
+                None => Slot::One, // COUNT(*) counts rows
+                Some(BoundExpr::Col(i)) => Slot::Col(*i),
+                Some(e) => Slot::Expr(e),
+            }))
+            .collect();
+        let arenas = run_batches(&self.source, &self.opts, |batch, sel, arena: &mut TupleArena| {
+            let mut vecs: Vec<Option<Vec<Value>>> = Vec::with_capacity(slots.len());
+            for s in &slots {
+                vecs.push(match s {
+                    Slot::Expr(e) => Some(eval_vec(e, batch, sel)?),
+                    _ => None,
+                });
             }
-            let slots: Vec<Slot> = groups
-                .iter()
-                .map(|e| match e {
-                    BoundExpr::Col(i) => Slot::Col(*i),
-                    e => Slot::Expr(e),
-                })
-                .chain(args.iter().map(|a| match a {
-                    None => Slot::One, // COUNT(*) counts rows
-                    Some(BoundExpr::Col(i)) => Slot::Col(*i),
-                    Some(e) => Slot::Expr(e),
-                }))
-                .collect();
-            let ngroups = groups.len();
-            run_morsels_vec(&self.source, &self.opts, |batch, sel, arena: &mut TupleArena| {
-                let mut vecs: Vec<Option<Vec<Value>>> = Vec::with_capacity(slots.len());
-                for s in &slots {
-                    vecs.push(match s {
-                        Slot::Expr(e) => Some(eval_vec(e, batch, sel)?),
-                        _ => None,
-                    });
+            for (lane, live) in sel.iter().enumerate() {
+                if !*live {
+                    continue;
                 }
-                for (lane, live) in sel.iter().enumerate() {
-                    if !*live {
-                        continue;
+                for (k, s) in slots.iter().enumerate() {
+                    let v = match s {
+                        Slot::Col(i) => batch.value_at(*i, lane),
+                        Slot::One => Value::Int(1),
+                        Slot::Expr(_) => std::mem::replace(
+                            &mut vecs[k].as_mut().expect("expr slot")[lane],
+                            Value::Null,
+                        ),
+                    };
+                    if k < ngroups {
+                        v.key_bytes(&mut arena.keys);
                     }
-                    for (k, s) in slots.iter().enumerate() {
-                        let v = match s {
-                            Slot::Col(i) => batch.value_at(*i, lane),
-                            Slot::One => Value::Int(1),
-                            Slot::Expr(_) => std::mem::replace(
-                                &mut vecs[k].as_mut().expect("expr slot")[lane],
-                                Value::Null,
-                            ),
-                        };
-                        if k < ngroups {
-                            v.key_bytes(&mut arena.keys);
-                        }
-                        arena.vals.push(v);
-                    }
-                    arena.key_ends.push(arena.keys.len());
-                }
-                Ok(())
-            })?
-        } else {
-            run_morsels(&self.source, &self.opts, |row, arena: &mut TupleArena| {
-                for e in &groups {
-                    let v = eval_bound(e, row)?;
-                    v.key_bytes(&mut arena.keys);
                     arena.vals.push(v);
                 }
-                for arg in &args {
-                    arena.vals.push(match arg {
-                        None => Value::Int(1), // COUNT(*) counts rows
-                        Some(e) => eval_bound(e, row)?,
-                    });
-                }
                 arena.key_ends.push(arena.keys.len());
-                Ok(())
-            })?
-        };
+            }
+            Ok(())
+        })?;
         // Merge: replay the serial accumulator in row order.
-        let ngroups = self.group_exprs.len();
         let width = ngroups + self.aggs.len();
         let mut acc = GroupAcc::new(&self.aggs, self.group_exprs.is_empty());
         for arena in arenas {
@@ -711,9 +548,8 @@ impl Operator for ParallelHashAggregate {
     fn describe(&self) -> String {
         let groups: Vec<String> = self.group_exprs.iter().map(crate::ast::expr_to_sql).collect();
         let aggs: Vec<String> = self.aggs.iter().map(|a| a.name.clone()).collect();
-        let vect = if self.opts.vectorized { ", vectorized" } else { "" };
         format!(
-            "ParallelHashAggregate: group by [{}], compute [{}] (dop {}{vect})",
+            "ParallelHashAggregate: group by [{}], compute [{}] (dop {})",
             groups.join(", "),
             aggs.join(", "),
             self.opts.dop.get()
@@ -874,8 +710,8 @@ mod tests {
         let serial_stats = pager.lock().stats();
         for dop in [1, 4] {
             pager.lock().reset_stats();
-            let opts = ExecOptions { morsel_pages: 3, oversubscribe: true, ..ExecOptions::with_dop(dop) }
-                .with_vectorized(true);
+            let opts =
+                ExecOptions { morsel_pages: 3, oversubscribe: true, ..ExecOptions::with_dop(dop) };
             let vectorized =
                 collect(Box::new(MorselScan::new(source.clone(), opts.clone()))).unwrap().1;
             let vec_stats = pager.lock().stats();
@@ -923,8 +759,8 @@ mod tests {
             collect(Box::new(agg)).unwrap()
         };
         for dop in [1, 4] {
-            let opts = ExecOptions { morsel_pages: 2, oversubscribe: true, ..ExecOptions::with_dop(dop) }
-                .with_vectorized(true);
+            let opts =
+                ExecOptions { morsel_pages: 2, oversubscribe: true, ..ExecOptions::with_dop(dop) };
             let vectorized = collect(Box::new(ParallelHashAggregate::new(
                 source.clone(),
                 opts,
@@ -938,33 +774,23 @@ mod tests {
     }
 
     #[test]
-    fn scan_watch_slots_are_dop_and_vectorization_invariant() {
+    fn scan_watch_slots_are_dop_invariant() {
         let (mut source, _pager) = fixture(2000);
         source.pred = Some(parse_expression("a % 4 = 0").unwrap());
         let mut baseline: Option<Vec<(u64, u64)>> = None;
-        for dop in [1usize, 4] {
-            for vectorized in [false, true] {
-                let watch = Arc::new(ScanWatch::new());
-                let opts = ExecOptions {
-                    morsel_pages: 3,
-                    oversubscribe: true,
-                    ..ExecOptions::with_dop(dop)
-                }
-                .with_vectorized(vectorized)
+        for dop in [1usize, 2, 4] {
+            let watch = Arc::new(ScanWatch::new());
+            let opts = ExecOptions { morsel_pages: 3, oversubscribe: true, ..ExecOptions::with_dop(dop) }
                 .with_watch(watch.clone());
-                collect(Box::new(MorselScan::new(source.clone(), opts))).unwrap();
-                let slots = watch.take();
-                let total_in: u64 = slots.iter().map(|(i, _)| i).sum();
-                let total_out: u64 = slots.iter().map(|(_, o)| o).sum();
-                assert_eq!(total_in, 2000);
-                assert_eq!(total_out, 500);
-                match &baseline {
-                    None => baseline = Some(slots),
-                    Some(b) => assert_eq!(
-                        &slots, b,
-                        "dop {dop} vectorized {vectorized}: slots drifted"
-                    ),
-                }
+            collect(Box::new(MorselScan::new(source.clone(), opts))).unwrap();
+            let slots = watch.take();
+            let total_in: u64 = slots.iter().map(|(i, _)| i).sum();
+            let total_out: u64 = slots.iter().map(|(_, o)| o).sum();
+            assert_eq!(total_in, 2000);
+            assert_eq!(total_out, 500);
+            match &baseline {
+                None => baseline = Some(slots),
+                Some(b) => assert_eq!(&slots, b, "dop {dop}: slots drifted"),
             }
         }
     }

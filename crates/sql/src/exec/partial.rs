@@ -9,8 +9,8 @@
 //! (group first-seen order, NULL gating, DISTINCT dedup and the
 //! non-associative float accumulation order are all properties of the
 //! replay order). This module exposes that same split across *process
-//! boundaries*: a storage shard evaluates [`AggPlan::eval_partial`] over
-//! its local rows and ships the resulting tuples; the coordinator feeds
+//! boundaries*: a storage shard evaluates [`AggPlan::eval_partial_batch`]
+//! over its local rows and ships the resulting tuples; the coordinator feeds
 //! every shard's tuples — merged back into canonical row order — through
 //! [`AggPlan::finish`], which replays the accumulator and applies the
 //! post-aggregation pipeline (HAVING → ORDER BY → projection → LIMIT)
@@ -160,10 +160,12 @@ impl AggPlan {
         Schema::new(columns)
     }
 
-    /// Shard-side half: evaluate one fragment row into a partial tuple
-    /// `[group values..., aggregate inputs...]`, or `None` when the
-    /// residual filter rejects the row. `COUNT(*)` inputs materialize as
-    /// `Int(1)`, mirroring the serial operator.
+    /// Row-at-a-time reference for the shard-side half: evaluate one
+    /// fragment row into a partial tuple `[group values..., aggregate
+    /// inputs...]`, or `None` when the residual filter rejects the row.
+    /// `COUNT(*)` inputs materialize as `Int(1)`, mirroring the serial
+    /// operator. Shards run [`AggPlan::eval_partial_batch`]; tests pin it
+    /// against this.
     pub fn eval_partial(&self, schema: &Schema, row: &Row) -> Result<Option<Row>> {
         if let Some(p) = &self.residual {
             if !eval(p, schema, row)?.is_truthy() {
@@ -183,7 +185,7 @@ impl AggPlan {
         Ok(Some(tuple))
     }
 
-    /// Vectorized shard-side half: [`AggPlan::eval_partial`] for a whole
+    /// Shard-side half: [`AggPlan::eval_partial`] for a whole
     /// slice of fragment rows at once. Rows are pivoted into a
     /// [`ColumnBatch`](crate::batch::ColumnBatch), the residual filter
     /// runs vector-at-a-time over a selection bitmap, and group keys /

@@ -100,18 +100,18 @@ fn classify(expr: Expr, schemas: &[Schema]) -> Result<Pred> {
     }
 }
 
-/// Plan a `SELECT` into an executable operator tree (serial execution).
+/// Plan a `SELECT` into an executable operator tree (DOP 1).
 pub fn plan_select(catalog: &Catalog, pager: &SharedPager, stmt: &SelectStmt) -> Result<BoxOp> {
     plan_select_with(catalog, pager, stmt, &ExecOptions::serial())
 }
 
-/// Plan a `SELECT`, choosing morsel-parallel scan/aggregate operators
-/// when `opts` requests DOP > 1.
+/// Plan a `SELECT` under `opts` (DOP, morsel size, scan watch).
 ///
-/// Parallel plans emit bit-identical rows and identical `PagerStats`
-/// deltas to their serial counterparts; the only plan shape where that
-/// would break — `LIMIT` short-circuiting a scan before it reads every
-/// page — is kept serial.
+/// Every base-table scan reads through the vectorized morsel operators,
+/// which emit bit-identical rows and identical `PagerStats` deltas to
+/// the row-at-a-time `SeqScan` pipeline at any DOP. The one plan shape
+/// where that would break — `LIMIT` short-circuiting a scan before it
+/// reads every page — keeps the `SeqScan` pipeline.
 pub fn plan_select_with(
     catalog: &Catalog,
     pager: &SharedPager,
@@ -121,15 +121,10 @@ pub fn plan_select_with(
     if stmt.from.is_empty() {
         return plan_projection_only(stmt);
     }
-    // LIMIT lets the serial pipeline stop pulling mid-scan (fewer page
+    // LIMIT lets the SeqScan pipeline stop pulling mid-scan (fewer page
     // reads); a morsel scan materializes everything, so its stats would
-    // diverge. Conservatively keep any LIMIT plan serial. Vectorized
-    // execution rides the morsel operators, so it routes here too even
-    // at DOP 1, as does a scan with a [`ScanWatch`] attached (per-morsel
-    // telemetry requires the morsel driver; rows and stats stay
-    // bit-identical either way).
-    let par =
-        (opts.parallel() || opts.vectorized || opts.watch.is_some()) && stmt.limit.is_none();
+    // diverge. Conservatively keep any LIMIT plan on SeqScan.
+    let morsels = stmt.limit.is_none();
 
     // 1. Table metadata (scan operators are built after predicate
     // classification so pushed filters can live inside morsel workers).
@@ -159,15 +154,15 @@ pub fn plan_select_with(
         }
     }
 
-    // 3. Filtered scans. Serial: SeqScan under an optional Filter.
-    // Parallel: a MorselScan with the pushed predicate evaluated inside
-    // the workers (same rows, same order, same page reads).
+    // 3. Filtered scans: a MorselScan with the pushed predicate
+    // evaluated inside the workers, or — under LIMIT — a SeqScan under an
+    // optional Filter (same rows, same order, same page reads).
     let mut filtered: Vec<Option<BoxOp>> = Vec::with_capacity(schemas.len());
     let mut lone_source: Option<MorselSource> = None;
     for (i, (schema, heap)) in schemas.iter().zip(heaps.iter()).enumerate() {
         let preds = std::mem::take(&mut single[i]);
         let pred = join_conjuncts(preds);
-        let op: BoxOp = if par {
+        let op: BoxOp = if morsels {
             let source = MorselSource {
                 schema: schema.clone(),
                 heap: heap.clone(),

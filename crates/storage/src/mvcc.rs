@@ -72,18 +72,18 @@ impl SnapState {
         self.pins.keys().copied().min()
     }
 
-    /// Drop every version no active pin can still see. A version with
-    /// ceiling `c` serves pins with epoch `< c`; with `m` the smallest
-    /// pinned epoch (or none), versions with `c <= m` are dead.
+    /// Drop every version no pin can still see. A version with ceiling
+    /// `c` serves pins with epoch `< c`; with `m` the smallest pinned
+    /// epoch, versions with `c <= m` are dead. With no pins, `m` is the
+    /// committed epoch — the one the next pin lands on — so a version an
+    /// in-flight flush retained (ceiling above the committed epoch) stays
+    /// until that flush publishes, even when the last pin drops first.
     fn collect(&mut self, metrics: &MvccMetrics) {
-        let min = self.min_pinned();
+        let floor = self.min_pinned().unwrap_or(self.committed_epoch);
         let mut freed = 0u64;
         self.versions.retain(|_, vs| {
             let before = vs.len();
-            match min {
-                Some(m) => vs.retain(|v| v.ceiling > m),
-                None => vs.clear(),
-            }
+            vs.retain(|v| v.ceiling > floor);
             freed += (before - vs.len()) as u64;
             !vs.is_empty()
         });
@@ -251,6 +251,27 @@ mod tests {
         drop(pin);
         assert_eq!(snaps.retained_versions(), 0, "GC on unpin");
         assert_eq!(snaps.metrics().gc.get(), 1);
+    }
+
+    #[test]
+    fn unpin_mid_flush_keeps_the_in_flight_pre_image() {
+        let snaps = Snapshots::new();
+        snaps.publish(1, 4);
+        let early = snaps.pin();
+        // A flush publishing epoch 2 retains page 0's pre-image...
+        snaps.retain(0, payload(0xaa), PagerStats::default(), 2);
+        // ...the last pin drops before the flush publishes...
+        drop(early);
+        // ...and a reader pins epoch 1 in that window: it must still be
+        // served the pre-image, not the page the flush overwrote.
+        let late = snaps.pin();
+        assert_eq!(late.epoch(), 1);
+        let (img, _) = snaps.lookup(0, late.epoch()).expect("pre-image survives the unpin");
+        assert_eq!(&img[..], &[0xaa; 8]);
+        snaps.publish(2, 4);
+        assert_eq!(snaps.retained_versions(), 1, "the late pin still needs it");
+        drop(late);
+        assert_eq!(snaps.retained_versions(), 0);
     }
 
     #[test]

@@ -407,7 +407,11 @@ impl SecurePager {
         // root. The per-page stale-read faults are drawn up front (one per
         // entry, exactly as the per-page loop drew them) so seeded fault
         // plans stay bit-aligned with the pre-batched behavior, then the
-        // whole batch climbs the tree once via `verify_batch`.
+        // whole batch climbs the tree once via `verify_batch`. That shared
+        // climb only charges what looped `verify` calls would when the
+        // verified-node cache is on; with it off, each page pays its own
+        // climb exactly as `read_page` does, so the work charged never
+        // depends on how reads were grouped into batches.
         if self.verify_freshness_on_read {
             for _ in ids {
                 if self.fault_plan.should_fire(FaultSite::FreshnessStale) {
@@ -416,7 +420,13 @@ impl SecurePager {
                     ));
                 }
             }
-            if !self.merkle.verify_batch(ids, macs, &self.trusted_root) {
+            let fresh = if self.merkle.cache_enabled() {
+                self.merkle.verify_batch(ids, macs, &self.trusted_root)
+            } else {
+                let root = self.trusted_root;
+                ids.iter().zip(macs.iter()).all(|(id, mac)| self.merkle.verify(*id, mac, &root))
+            };
+            if !fresh {
                 return Err(StorageError::FreshnessViolation("Merkle path mismatch on read"));
             }
         }

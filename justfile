@@ -10,9 +10,12 @@ check: serve-smoke par-smoke chaos-smoke fresh-smoke profile-smoke shard-smoke v
 
 # Parallel-execution smoke: golden parity (rows, cost breakdowns and
 # pager-stats deltas bit-identical at DOP 4 across every Table 2
-# configuration) plus the morsel engine's own unit tests.
+# configuration, with the Merkle cache on and off), the full-suite
+# golden (all 17 paper queries pinned), and the morsel engine's own
+# unit tests.
 par-smoke:
     cargo test -q --offline -p ironsafe-csa --test parallel_golden
+    cargo test -q --offline -p ironsafe-csa --test suite_golden
     cargo test -q --offline -p ironsafe-sql morsel
 
 # Serving-layer smoke: run the multi-client example end to end, then
@@ -22,12 +25,12 @@ serve-smoke:
     cargo test -q --offline -p ironsafe-serve
 
 # Freshness fast-path smoke: Merkle batch/cache unit + property tests,
-# the bench crate's >=3x reduction assertions, and a reduced-SF
-# `paperbench freshness` sweep end to end.
+# the bench crate's >=3x reduction assertions, and the BENCH_5.json
+# regression gate.
 fresh-smoke:
     cargo test -q --offline -p ironsafe-storage merkle
     cargo test -q --offline -p ironsafe-bench freshness
-    cargo run --release --offline -p ironsafe-bench --bin paperbench freshness --sf 0.0015
+    cargo run --release --offline -p ironsafe-bench --bin paperbench freshness --sf 0.003 --check
 
 # Query-profiler smoke: golden parity (EXPLAIN ANALYZE counters
 # bit-identical to the cost model across configs and DOPs), the
@@ -44,10 +47,10 @@ shard-smoke:
     cargo test -q --offline -p ironsafe-scale
     cargo run --release --offline -p ironsafe-bench --bin paperbench shards --check
 
-# Vectorization + compression smoke: eval_vec/scalar and partial-batch
+# Vectorization + compression smoke: eval_vec and partial-batch
 # equivalence properties, column-batch units, compression codec
-# round-trip properties, cross-shard/DOP parity of the vectorized +
-# compressed paths, and the BENCH_8.json invariant gate.
+# round-trip properties, cross-shard/DOP parity of compressed pages,
+# and the BENCH_8.json invariant gate.
 vec-smoke:
     cargo test -q --offline -p ironsafe-sql -- batch vec
     cargo test -q --offline -p ironsafe-storage --test compress_prop
@@ -55,7 +58,7 @@ vec-smoke:
     cargo run --release --offline -p ironsafe-bench --bin paperbench vectors --check
 
 # Adaptive-optimizer smoke: cost-model + planner unit and property
-# tests, pinned/primed golden parity against both static policies, and
+# tests, pinned/primed golden parity against both pinned placements, and
 # the BENCH_10.json shape x cores x selectivity x pressure sweep gate
 # (adaptive <= best static everywhere, >=20% wins on both ends,
 # re-planning demo).
